@@ -8,9 +8,11 @@ Subcommands:
 * ``sample``       -- one sampling run on a circuit document
 * ``experiment``   -- the Fig-style uncut/cut comparison dataset
 
-Exit code 0 means every requested check passed.  Identical invocations with
-identical seeds produce byte-identical output files.  The MCZCUT_SEED
-environment variable supplies a default seed when --seed is absent.
+Exit code 0 means every requested check passed; exit code 2 with a one-line
+message means the input was rejected (an invalid MCZCUT_SEED, or a cut whose
+decomposition cannot be certified).  Identical invocations with identical
+seeds produce byte-identical output files.  The MCZCUT_SEED environment
+variable supplies a default seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -28,12 +30,21 @@ from . import cutter, densesim, experiments, sampler, zhcalc
 from .circuit import Observable, find_cut, parse
 
 SEED_ENV_VAR = "MCZCUT_SEED"
+DEFAULT_VERIFY_ORDERS = range(2, 7)
+
+
+class InputError(Exception):
+    """Rejected input; ``main`` reports it as one line and exit code 2."""
 
 
 def _default_seed(args_seed: int | None) -> int:
     if args_seed is not None:
         return args_seed
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +88,17 @@ def cmd_verify(sizes=None, corrupt: bool = False, stream=None) -> int:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} (tol {tol:.0e})", file=stream)
 
+    orders = sizes if sizes else DEFAULT_VERIFY_ORDERS
+    for order in orders:
+        if not 2 <= order <= cutter.MAX_CERTIFIED_ORDER:
+            raise InputError(f"verify sizes must lie in [2, {cutter.MAX_CERTIFIED_ORDER}], got {order}")
+
     for name, fn, tol in _identity_checks():
         report(name, fn(), tol)
     for n in range(2, 9):
         residual = zhcalc.check_mcz_representation(n)
         report(f"mcz tensor n={n} (exact)", residual, 1e-15 if residual == 0.0 else 0.0)
 
-    orders = sizes if sizes else range(2, densesim.MAX_SUPEROP_QUBITS + 1)
     for order in orders:
         for k in range(1, order):
             m = order - k
@@ -94,6 +109,8 @@ def cmd_verify(sizes=None, corrupt: bool = False, stream=None) -> int:
             result = cutter.verify(d)
             report(f"decomposition oracle ({k},{m})", result.residual, result.tolerance)
             report(f"double-fusion channel form ({k},{m})", result.hbox_form_residual, result.tolerance)
+            if result.dense_residual is not None:
+                report(f"dense superoperator cross-check ({k},{m})", result.dense_residual, result.tolerance)
 
     print(("all checks passed" if failures == 0 else f"{failures} checks FAILED"), file=stream)
     return 0 if failures == 0 else 1
@@ -110,7 +127,7 @@ def cmd_decompose(order: int, cut: int, out: str | None = None, stream=None) -> 
     if not 1 <= cut < order:
         raise SystemExit(f"cut position must lie in [1, {order - 1}], got {cut}")
     d = cutter.decompose_mcz(cut, order - cut)
-    if order <= densesim.MAX_SUPEROP_QUBITS:
+    if order <= cutter.MAX_CERTIFIED_ORDER:
         result = cutter.verify(d)
         if not result.passed:
             print(f"FAIL oracle residual {result.residual:.3e}", file=stream)
@@ -148,8 +165,14 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
     circuit = parse(Path(config_path).read_text())
     cut = find_cut(circuit)
     decomposition = cutter.decompose_mcz(cut.k, cut.m)
-    if cut.order <= densesim.MAX_SUPEROP_QUBITS:
-        cutter.verify(decomposition)
+    if not force:
+        if cut.order > cutter.MAX_CERTIFIED_ORDER:
+            raise InputError(f"cut of order {cut.order} exceeds the certified order "
+                             f"{cutter.MAX_CERTIFIED_ORDER}; pass --force to sample uncertified")
+        result = cutter.verify(decomposition)
+        if not result.passed:
+            raise InputError(f"decomposition ({cut.k},{cut.m}) failed certification: "
+                             f"residual {result.residual:.3e}")
     terms = cutter.embed(decomposition, cut)
     observable = Observable.z_string(circuit.num_qubits)
     values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
@@ -228,6 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except InputError as exc:
+        print(f"mczcut: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "verify":
         return cmd_verify(sizes=args.sizes)
     if args.command == "decompose":

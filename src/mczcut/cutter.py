@@ -17,7 +17,11 @@ is split off so it can merge with the global identity term.  This reproduces
 the known overhead values kappa = 3 (CZ), 4.5 (CCZ), 5 (one qubit removed,
 order 5) and keeps every generated kappa strictly below 6.
 
-Everything is certified against the dense superoperator oracle in densesim.
+Every local operation is a diagonal-Kraus map rho -> sum_i w_i D_i rho D_i^dagger,
+i.e. the entrywise product Lambda o rho with Lambda = sum_i w_i d_i d_i^H, so a
+decomposition is certified by comparing sum_j a_j Lambda_A,j (x) Lambda_B,j with
+u u^H of the MCZ diagonal u, up to order 10.  At orders up to 4 the dense
+superoperator oracle in densesim cross-checks every certificate independently.
 """
 
 from __future__ import annotations
@@ -364,73 +368,113 @@ def kappa(decomposition: Decomposition) -> float:
 # Oracle verification
 # ---------------------------------------------------------------------------
 
+# Highest gate order the diagonal-multiplier oracle certifies; its d x d
+# multipliers take 16 MB per complex array at order 10.
+MAX_CERTIFIED_ORDER = 10
+# Orders up to which the brute-force dense superoperator oracle cross-checks
+# every certificate, so that the multiplier path never certifies itself alone.
+DENSE_CHECK_MAX_ORDER = 4
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     residual: float
     hbox_form_residual: float
     tolerance: float
+    dense_residual: float | None = None
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tolerance and self.hbox_form_residual < self.tolerance
+        residuals = [self.residual, self.hbox_form_residual]
+        if self.dense_residual is not None:
+            residuals.append(self.dense_residual)
+        return all(r < self.tolerance for r in residuals)
+
+
+def channel_multiplier(op: LocalOperation) -> np.ndarray:
+    """Entrywise multiplier of a local operation's channel.
+
+    The map rho -> sum_i w_i D_i rho D_i^dagger with diagonal D_i equals
+    Lambda o rho with Lambda = sum_i w_i d_i d_i^H, built here from the
+    operation's signed-diagonal expansion as one matrix product.
+    """
+    weights, diagonals = zip(*op.signed_diagonal_terms())
+    d = np.array(diagonals)
+    return (d * np.array(weights)[:, None]).T @ d.conj()
 
 
 def _mcz_channel_from_hbox_form(k: int, m: int) -> np.ndarray:
-    """The MCZ channel assembled from the double-fusion form.
+    """The MCZ channel's multiplier assembled from the double-fusion form.
 
     One quarter of the coupling block contracted against the four local
     MCZ-power operators: the H-box with a basis vector on its free leg gives
     the identity (index 0) or the local MCZ (index 1) on each of the four
-    doubled legs.
+    doubled legs.  Row a * 2 + b of ``legs`` is the joint diagonal for
+    indices (a, b); since (L rho R)[r, c] = L[r] rho[r, c] R[c] for diagonal
+    L and R, the multiplier is legs^T q legs.
     """
     q = zhcalc.choi_block_matrix()
     mcz_a = [np.ones(2**k, dtype=complex), densesim.mcp_diagonal(k, math.pi)]
     mcz_b = [np.ones(2**m, dtype=complex), densesim.mcp_diagonal(m, math.pi)]
-    d = 2**(k + m)
-    total_diag = np.zeros(d * d, dtype=complex)
-    for a_ket in (0, 1):
-        for b_ket in (0, 1):
-            for a_bra in (0, 1):
-                for b_bra in (0, 1):
-                    coeff = q[a_ket * 2 + b_ket, a_bra * 2 + b_bra]
-                    left = np.kron(mcz_a[a_ket], mcz_b[b_ket])
-                    right = np.kron(mcz_a[a_bra], mcz_b[b_bra])
-                    # vec(L rho R) = (R^T (x) L) vec(rho); all factors diagonal
-                    total_diag += coeff * np.kron(right, left)
-    return 0.25 * np.diag(total_diag)
+    legs = np.array([np.kron(mcz_a[a], mcz_b[b]) for a in (0, 1) for b in (0, 1)])
+    return 0.25 * legs.T @ q @ legs
 
 
-def verify(decomposition: Decomposition, tolerance: float = 1e-10) -> VerificationReport:
-    """Brute-force oracle: the weighted local channels must sum to the MCZ channel.
-
-    Also certifies the intermediate double-fusion form of the channel.
-    Passing marks the decomposition as verified.
-    """
-    k, m = decomposition.k, decomposition.m
-    if k + m > densesim.MAX_SUPEROP_QUBITS:
-        raise ValueError(f"oracle limited to order {densesim.MAX_SUPEROP_QUBITS}")
-    d = 2**(k + m)
+def _dense_oracle_residual(decomposition: Decomposition) -> float:
+    """Frobenius residual of the term sum against the MCZ channel, computed
+    with dense superoperator matrices (independent of the multiplier path)."""
+    d = 2**decomposition.order
     total = np.zeros((d * d, d * d), dtype=complex)
     for t in decomposition.terms:
         sa = densesim.superop_of_local_operation(t.op_a)
         sb = densesim.superop_of_local_operation(t.op_b)
         total += t.coefficient * densesim.pair_superop(sa, sb).matrix
-    target = densesim.superop_of_unitary(densesim.mcz_unitary(k + m)).matrix
+    target = densesim.superop_of_unitary(densesim.mcz_unitary(decomposition.order)).matrix
+    return float(np.linalg.norm(total - target))
+
+
+def verify(decomposition: Decomposition, tolerance: float = 1e-10) -> VerificationReport:
+    """Certify that the weighted local channels sum to the MCZ channel.
+
+    Compares sum_j a_j kron(Lambda_A,j, Lambda_B,j) with u u^H (partition A
+    on the leading qubits); the dense superoperator of such a map is
+    diag(vec Lambda), so the Frobenius residual equals the dense oracle's.
+    Also certifies the intermediate double-fusion form of the channel, and
+    up to DENSE_CHECK_MAX_ORDER runs the dense oracle as well.  Passing marks
+    the decomposition as verified.
+    """
+    k, m = decomposition.k, decomposition.m
+    if k + m > MAX_CERTIFIED_ORDER:
+        raise ValueError(f"oracle limited to order {MAX_CERTIFIED_ORDER}")
+    u = densesim.mcp_diagonal(k + m, math.pi)
+    target = np.outer(u, u.conj())
+    multipliers = {op: channel_multiplier(op)
+                   for t in decomposition.terms for op in (t.op_a, t.op_b)}
+    total = np.zeros_like(target)
+    for t in decomposition.terms:
+        total += t.coefficient * np.kron(multipliers[t.op_a], multipliers[t.op_b])
     residual = float(np.linalg.norm(total - target))
     hbox_residual = float(np.linalg.norm(_mcz_channel_from_hbox_form(k, m) - target))
-    report = VerificationReport(residual, hbox_residual, tolerance)
+    dense_residual = _dense_oracle_residual(decomposition) if k + m <= DENSE_CHECK_MAX_ORDER else None
+    report = VerificationReport(residual, hbox_residual, tolerance, dense_residual)
     decomposition.verified = report.passed
     return report
 
 
 def rewrite_projector(n: int, tolerance: float = 1e-12) -> float:
-    """Certify 2 P...P = Z-mixture - signed projector as superoperator matrices."""
+    """Certify 2 P...P = Z-mixture - signed projector as channel multipliers.
+
+    Up to DENSE_CHECK_MAX_ORDER qubits the identity is also checked on dense
+    superoperator matrices; the larger of the two residuals is returned.
+    """
     if n > 5:
         raise ValueError("projector rewrite check limited to n <= 5")
-    proj = densesim.superop_of_local_operation(LocalOperation.projector(n)).matrix
-    zm = densesim.superop_of_local_operation(LocalOperation.zmix(n)).matrix
-    sp = densesim.superop_of_local_operation(LocalOperation.signed_projector(n)).matrix
+    ops = (LocalOperation.projector(n), LocalOperation.zmix(n), LocalOperation.signed_projector(n))
+    proj, zm, sp = (channel_multiplier(op) for op in ops)
     residual = float(np.max(np.abs(2.0 * proj - (zm - sp))))
+    if n <= DENSE_CHECK_MAX_ORDER:
+        proj, zm, sp = (densesim.superop_of_local_operation(op).matrix for op in ops)
+        residual = max(residual, float(np.max(np.abs(2.0 * proj - (zm - sp)))))
     if residual >= tolerance:
         raise AssertionError(f"projector rewrite residual {residual:.3e} exceeds {tolerance}")
     return residual

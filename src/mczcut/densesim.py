@@ -1,9 +1,10 @@
 """Dense statevector and superoperator simulator.
 
-Serves both as the execution backend for sampling and as the brute-force
-oracle for decomposition verification.  Gate application uses strided kernels
-over the amplitude array; full matrices are built only inside the
-superoperator routines.
+Serves as the execution backend for sampling.  Its dense superoperators are
+the brute-force oracle that cross-checks decomposition certification at small
+orders (cutter certifies with diagonal channel multipliers instead).  Gate
+application uses strided kernels over the amplitude array; full matrices are
+built only inside the superoperator routines.
 
 Vectorization convention: column-major, vec(rho)[c*D + r] = rho[r, c], so a
 unitary channel U has superoperator matrix conj(U) (x) U and the map

@@ -242,9 +242,10 @@ def rows_to_csv(rows: list[RunRow]) -> str:
     writer.writerow(["repetition", "circuit", "seed", "exact", "uncut_estimate",
                      "cut_estimate", "uncut_error", "cut_error", "shots", "kappa", "mode"])
     for r in rows:
+        # float() first: estimates may be numpy scalars, whose repr is "np.float64(...)"
+        values = (r.exact, r.uncut_estimate, r.cut_estimate, r.uncut_error, r.cut_error)
         writer.writerow([r.repetition, r.circuit_index, r.seed,
-                         repr(r.exact), repr(r.uncut_estimate), repr(r.cut_estimate),
-                         repr(r.uncut_error), repr(r.cut_error), r.shots, repr(r.kappa), r.mode])
+                         *(repr(float(v)) for v in values), r.shots, repr(float(r.kappa)), r.mode])
     return buf.getvalue()
 
 

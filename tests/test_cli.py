@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mczcut import cli
-from mczcut.circuit import Circuit, cz, h, serialize
+from mczcut import cli, densesim
+from mczcut.circuit import Circuit, Gate, Observable, cz, h, serialize
 
 
 def bell_document(tmp_path):
@@ -15,6 +16,16 @@ def bell_document(tmp_path):
     path = tmp_path / "bell.json"
     path.write_text(serialize(circuit))
     return path
+
+
+def wide_cut_circuit(k: int, m: int, seed: int = 0) -> Circuit:
+    """Rotations around one MCZ over all k + m qubits, cut (k, m)."""
+    n = k + m
+    rng = np.random.default_rng(seed)
+    gates = [Gate("RY", (q,), float(rng.uniform(0.5, 2.5))) for q in range(n)]
+    gates.append(Gate("MCZ", tuple(range(n))))
+    gates += [Gate("RX", (q,), float(rng.uniform(0.5, 2.5))) for q in range(n)]
+    return Circuit(n, tuple(gates), ("A",) * k + ("B",) * m)
 
 
 class TestVerifyCommand:
@@ -25,6 +36,18 @@ class TestVerifyCommand:
         assert "decomposition oracle (1,1)" in out
         assert "(1,2)" not in out  # only CZ checks executed
         assert "all checks passed" in out
+
+    def test_dense_cross_check_reported_at_small_orders(self):
+        stream = io.StringIO()
+        assert cli.cmd_verify(sizes=[4, 5], stream=stream) == 0
+        out = stream.getvalue()
+        assert "PASS  dense superoperator cross-check (2,2)" in out
+        assert "cross-check (2,3)" not in out
+
+    def test_sizes_above_ceiling_rejected(self, capsys):
+        assert cli.main(["verify", "--sizes", "11"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "[2, 10]" in err
 
     def test_corruption_hook_fails(self):
         stream = io.StringIO()
@@ -53,8 +76,13 @@ class TestDecomposeCommand:
 
     def test_large_order_skips_oracle(self):
         stream = io.StringIO()
-        assert cli.cmd_decompose(8, 4, stream=stream) == 0
+        assert cli.cmd_decompose(12, 6, stream=stream) == 0
         assert "oracle" not in stream.getvalue()
+
+    def test_order_eight_certified(self):
+        stream = io.StringIO()
+        assert cli.cmd_decompose(8, 4, stream=stream) == 0
+        assert "(PASS)" in stream.getvalue()
 
     def test_invalid_sizes(self):
         with pytest.raises(SystemExit):
@@ -95,6 +123,28 @@ class TestSampleCommand:
         cli.cmd_sample(str(doc), "preest", 0.1, seed=9, out=str(out_a), stream=io.StringIO())
         cli.cmd_sample(str(doc), "preest", 0.1, seed=9, out=str(out_b), stream=io.StringIO())
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    @pytest.mark.parametrize("mode,epsilon", [("shots", 0.1), ("preest", 0.05)])
+    def test_order_seven_cut_certified_and_sampled(self, tmp_path, mode, epsilon):
+        circuit = wide_cut_circuit(3, 4)
+        doc = tmp_path / "wide.json"
+        doc.write_text(serialize(circuit))
+        out = tmp_path / "record.json"
+        argv = ["sample", "--config", str(doc), "--mode", mode, "--epsilon", str(epsilon),
+                "--seed", "5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        exact = densesim.expval(densesim.run(circuit), Observable.z_string(7))
+        # shots mode: Hoeffding |err| <= eps w.p. 0.95; preest: std-dev <= eps
+        assert abs(json.loads(out.read_text())["estimate"] - exact) < 2 * epsilon
+
+    def test_order_above_ceiling_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "eleven.json"
+        doc.write_text(serialize(wide_cut_circuit(5, 6)))
+        assert cli.main(["sample", "--config", str(doc), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "order 11" in captured.err
+        assert captured.out == ""
 
 
 class TestExperimentCommand:
@@ -140,6 +190,13 @@ class TestMainEntry:
         out = tmp_path / "flag.json"
         cli.main(["sample", "--config", str(doc), "--epsilon", "0.1", "--seed", "5", "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 5
+
+    def test_non_integer_seed_env_var(self, tmp_path, monkeypatch, capsys):
+        doc = bell_document(tmp_path)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        assert cli.main(["sample", "--config", str(doc), "--epsilon", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and cli.SEED_ENV_VAR in err
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "mczcut.cli", "kappa-table"],

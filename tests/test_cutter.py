@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mczcut import cutter, densesim
 from mczcut.circuit import Circuit, Observable, cz, find_cut, h, mcz
-from mczcut.cutter import (DecompositionTerm, LocalOperation, decompose_ccz,
-                           decompose_choi_block, decompose_mcz, embed,
-                           exact_cut_expectation, kappa, rewrite_projector,
-                           verify)
+from mczcut.cutter import (DecompositionTerm, LocalOperation, channel_multiplier,
+                           decompose_ccz, decompose_choi_block, decompose_mcz,
+                           embed, exact_cut_expectation, kappa,
+                           rewrite_projector, verify)
 from mczcut.zhcalc import choi_block_matrix
 
 
@@ -116,6 +118,18 @@ class TestDecomposeMcz:
                 if op.is_unitary:
                     assert np.allclose(np.abs(op.diagonal()), 1.0)
 
+    @given(st.integers(1, 15), st.integers(1, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_kappa(self, k, m):
+        lo, hi = sorted((k, m))
+        if lo == 1:
+            expected = {1: 3.0, 2: 4.5}.get(hi, 5.0)
+        elif lo == 2:
+            expected = 5.5 if hi == 2 else 5.75
+        else:
+            expected = 6.0 - 2.0**-k - 2.0**-m
+        assert decompose_mcz(k, m).kappa == expected
+
     def test_coefficients_are_exact_dyadics(self):
         for k, m in [(1, 1), (1, 2), (2, 3), (3, 3)]:
             for t in decompose_mcz(k, m).terms:
@@ -158,6 +172,31 @@ class TestRewriteProjector:
             rewrite_projector(6)
 
 
+def flip_first_coefficient(d):
+    t = d.terms[0]
+    d.terms[0] = DecompositionTerm(-t.coefficient, t.op_a, t.op_b)
+    return d
+
+
+class TestChannelMultiplier:
+    @pytest.mark.parametrize("op", [LocalOperation.mcp(2, math.pi / 2), LocalOperation.zlayer(3, 5),
+                                    LocalOperation.zmix(2), LocalOperation.zmix_rest(3),
+                                    LocalOperation.signed_projector(2), LocalOperation.projector(3)],
+                             ids=lambda op: f"{op.variant}{op.num_qubits}")
+    def test_schur_product_matches_dense_superoperator(self, op):
+        rng = np.random.default_rng(op.num_qubits)
+        d = 2**op.num_qubits
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        dense = densesim.superop_of_local_operation(op).apply_to_density(rho)
+        assert np.max(np.abs(channel_multiplier(op) * rho - dense)) < 1e-14
+
+    def test_zmix_is_identity_and_unitary_is_rank_one(self):
+        assert np.max(np.abs(channel_multiplier(LocalOperation.zmix(4)) - np.eye(16))) < 1e-15
+        diag = densesim.mcp_diagonal(3, math.pi / 2)
+        expected = np.outer(diag, diag.conj())
+        assert np.max(np.abs(channel_multiplier(LocalOperation.mcp(3, math.pi / 2)) - expected)) == 0.0
+
+
 class TestVerify:
     @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 2), (3, 2)])
     def test_oracle_passes(self, k, m):
@@ -187,7 +226,34 @@ class TestVerify:
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="oracle limited"):
-            verify(decompose_mcz(3, 4))
+            verify(decompose_mcz(5, 6))
+
+    @pytest.mark.parametrize("k,m", [(k, order - k) for order in range(2, 5) for k in range(1, order)])
+    def test_diagonal_and_dense_residuals_agree(self, k, m):
+        report = verify(decompose_mcz(k, m))
+        assert report.passed and report.dense_residual is not None
+        assert abs(report.residual - report.dense_residual) < 1e-12
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (2, 2), (1, 3)])
+    def test_corrupted_coefficient_fails_both_paths(self, k, m):
+        report = verify(flip_first_coefficient(decompose_mcz(k, m)))
+        assert report.residual > 0.1 and report.dense_residual > 0.1
+        assert abs(report.residual - report.dense_residual) < 1e-12
+        assert not report.passed
+
+    def test_dense_cross_check_only_at_small_orders(self):
+        assert verify(decompose_mcz(2, 3)).dense_residual is None
+
+    @pytest.mark.parametrize("k,m", [(1, 6), (3, 4), (1, 7), (4, 4), (1, 9), (5, 5)])
+    def test_passes_beyond_dense_range(self, k, m):
+        d = decompose_mcz(k, m)
+        report = verify(d)
+        assert report.passed and d.verified
+        assert report.residual < 1e-10 and report.hbox_form_residual < 1e-10
+
+    def test_corruption_detected_beyond_dense_range(self):
+        report = verify(flip_first_coefficient(decompose_mcz(3, 4)))
+        assert not report.passed and report.residual > 0.1
 
 
 def bell_prep() -> Circuit:

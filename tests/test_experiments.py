@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,16 @@ class TestHarness:
         csv_text = rows_to_csv(rows)
         assert csv_text.splitlines()[0].startswith("repetition,circuit,seed,exact")
         assert len(csv_text.splitlines()) == 5
+
+    def test_csv_numeric_fields_parse_as_floats(self):
+        config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2,
+                                  repetitions=2, circuits=1, seed=5)
+        records = list(csv.DictReader(io.StringIO(rows_to_csv(run_experiment(config)))))
+        assert len(records) == 2
+        for record in records:
+            for field, text in record.items():
+                if field != "mode":
+                    float(text)
 
     def test_determinism(self):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2,
