@@ -9,7 +9,8 @@ Subcommands:
 * ``experiment``   -- the Fig-style uncut/cut comparison dataset
 
 Exit code 0 means every requested check passed; exit code 2 with a one-line
-message means the input was rejected (an invalid MCZCUT_SEED, or a cut whose
+message means the input was rejected (a missing or malformed config, an
+out-of-range order or cut, an invalid MCZCUT_SEED, or a cut whose
 decomposition cannot be certified).  Identical invocations with identical
 seeds produce byte-identical output files.  The MCZCUT_SEED environment
 variable supplies a default seed when --seed is absent.
@@ -123,9 +124,9 @@ def cmd_verify(sizes=None, corrupt: bool = False, stream=None) -> int:
 def cmd_decompose(order: int, cut: int, out: str | None = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     if not 2 <= order <= 12:
-        raise SystemExit(f"order must lie in [2, 12], got {order}")
+        raise InputError(f"order must lie in [2, 12], got {order}")
     if not 1 <= cut < order:
-        raise SystemExit(f"cut position must lie in [1, {order - 1}], got {cut}")
+        raise InputError(f"cut position must lie in [1, {order - 1}], got {cut}")
     d = cutter.decompose_mcz(cut, order - cut)
     if order <= cutter.MAX_CERTIFIED_ORDER:
         result = cutter.verify(d)
@@ -162,7 +163,10 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
                delta: float = 0.05, out: str | None = None, force: bool = False,
                stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    circuit = parse(Path(config_path).read_text())
+    try:
+        circuit = parse(Path(config_path).read_text())
+    except (OSError, ValueError, TypeError) as exc:
+        raise InputError(f"cannot read circuit document {config_path}: {exc}") from None
     cut = find_cut(circuit)
     decomposition = cutter.decompose_mcz(cut.k, cut.m)
     if not force:
@@ -197,8 +201,11 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
 
 def cmd_experiment(config_path: str, out_dir: str, workers: int = 1, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    doc = json.loads(Path(config_path).read_text())
-    config = experiments.ExperimentConfig.from_document(doc)
+    try:
+        doc = json.loads(Path(config_path).read_text())
+        config = experiments.ExperimentConfig.from_document(doc)
+    except (OSError, ValueError, TypeError) as exc:
+        raise InputError(f"cannot read experiment config {config_path}: {exc}") from None
     rows = experiments.run_experiment(config, workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

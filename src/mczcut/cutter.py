@@ -27,7 +27,7 @@ superoperator oracle in densesim cross-checks every certificate independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,11 +310,9 @@ def _expand_zmix(op: LocalOperation, expand: bool, extract_identity: bool):
 
 def _merge_terms(terms: list[DecompositionTerm]) -> list[DecompositionTerm]:
     merged: dict[tuple, float] = {}
-    ops: dict[tuple, tuple[LocalOperation, LocalOperation]] = {}
     for t in terms:
         key = (t.op_a, t.op_b)
         merged[key] = merged.get(key, 0.0) + t.coefficient
-        ops[key] = key
     out = [DecompositionTerm(a, *key) for key, a in merged.items() if abs(a) > COEFF_TOL]
     out.sort(key=lambda t: (-abs(t.coefficient), t.op_a.sort_key(), t.op_b.sort_key()))
     return out

@@ -10,9 +10,11 @@ matters for the measured observable.
 The experiment harness compares, per circuit and repetition, the exact
 expectation against (a) plain sampling of the uncut circuit at N shots and
 (b) the cut-circuit estimate at the same total N, and emits a tidy dataset
-plus quantile summaries.  Repetitions can run in a worker pool; the output
-is ordered by (repetition, circuit) index and is byte-identical for a fixed
-seed regardless of worker count.
+plus quantile summaries.  Each circuit is simulated once and its branch
+tables are built once, before any repetition; a repetition only samples.
+Repetitions can run in a worker pool (the tables travel with the tasks); the
+output is ordered by (repetition, circuit) index and is byte-identical for a
+fixed seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _prepare_circuits(config: ExperimentConfig):
-    """The experiment's fixed circuit set, its decomposition, and exact values."""
+    """The experiment's fixed circuit set, its decomposition, exact values and
+    branch tables (built once per circuit, after certification)."""
     decomposition = cutter.decompose_mcz(config.k, config.m)
     report = cutter.verify(decomposition)
     if not report.passed:
@@ -182,15 +185,15 @@ def _prepare_circuits(config: ExperimentConfig):
         cut = find_cut(circuit)
         terms = cutter.embed(decomposition, cut)
         values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
-        exact = densesim.expval(densesim.run(circuit), observable)
-        distribution = densesim.run(circuit).probabilities()
+        state = densesim.run(circuit)
         prepared.append({
             "circuit": circuit,
             "terms": terms,
+            "tables": sampler.term_tables(terms, values_a.values, values_b.values),
             "values_a": values_a.values,
             "values_b": values_b.values,
-            "exact": exact,
-            "distribution": distribution,
+            "exact": densesim.expval(state, observable),
+            "distribution": state.probabilities(),
         })
     return decomposition, observable, prepared
 
@@ -213,11 +216,11 @@ def _run_one(args):
     if config.mode == "preestimation":
         record = sampler.preestimation_mode(prep["terms"], budget, run_seed,
                                             prep["values_a"], prep["values_b"],
-                                            decomposition=decomposition)
+                                            decomposition=decomposition, tables=prep["tables"])
     else:
         record = sampler.sample_circuit_mode(prep["terms"], budget, run_seed,
                                              prep["values_a"], prep["values_b"],
-                                             decomposition=decomposition)
+                                             decomposition=decomposition, tables=prep["tables"])
     return RunRow(rep, c, run_seed, prep["exact"], uncut, record.estimate,
                   shots, decomposition.kappa, config.mode)
 

@@ -10,9 +10,12 @@ of the budget and then combines them as sum_i a_i <O_A>_i <O_B>_i.
 Sampling is executed by aggregated multinomial draws over the exact branch
 and outcome distributions, which is statistically identical to a per-shot
 loop, deterministic for a fixed seed, and fast enough for the 10^8-shot
-budgets.  Randomness uses PCG64 generators with per-term streams derived by
-stable seed-sequence keys, so results do not depend on execution order or
-worker count.
+budgets.  The branch tables depend only on the subcircuit plans:
+``term_tables`` builds each distinct plan once, and a caller that runs many
+estimates over the same terms builds them once and passes them in.
+Randomness uses PCG64 generators with per-term streams derived by stable
+seed-sequence keys, so results do not depend on execution order or worker
+count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutter import Branch, Decomposition, EmbeddedTerm, side_branches
+from .cutter import Branch, Decomposition, EmbeddedTerm, SubcircuitPlan, side_branches
 
 
 @dataclass(frozen=True)
@@ -131,14 +134,25 @@ class SideTable:
     branches: list[Branch]
     values: np.ndarray  # observable values per outcome
 
-    @property
-    def exact(self) -> float:
-        return float(sum(b.prob * b.sign * float(b.distribution @ self.values) for b in self.branches))
+
+TermTables = list[tuple[SideTable, SideTable]]
 
 
-def _term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray):
-    return [(SideTable(side_branches(t.side_a), values_a),
-             SideTable(side_branches(t.side_b), values_b)) for t in terms]
+def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> TermTables:
+    """The (A, B) branch tables of every term, building each distinct plan once.
+
+    Tables depend only on the subcircuit plans, never on a seed, so one list
+    serves every estimate over the same terms (the ``tables=`` keyword of the
+    estimators).
+    """
+    branches: dict[SubcircuitPlan, list[Branch]] = {}
+
+    def table(plan: SubcircuitPlan, values: np.ndarray) -> SideTable:
+        if plan not in branches:
+            branches[plan] = side_branches(plan)
+        return SideTable(branches[plan], values)
+
+    return [(table(t.side_a, values_a), table(t.side_b, values_b)) for t in terms]
 
 
 def _rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -196,9 +210,12 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
 def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
                         values_a: np.ndarray, values_b: np.ndarray,
                         decomposition: Decomposition | None = None,
-                        force: bool = False) -> EstimateRecord:
+                        force: bool = False, tables: TermTables | None = None) -> EstimateRecord:
     """Per-shot estimator: draw term i with p(i) = |a_i| / kappa, run the pair,
-    score kappa * sign(a_i) times the signed product of the two outcomes."""
+    score kappa * sign(a_i) times the signed product of the two outcomes.
+
+    ``tables`` is ``term_tables(terms, values_a, values_b)`` built in advance;
+    it is built here when omitted."""
     if decomposition is not None and not decomposition.verified and not force:
         raise ValueError("decomposition has not been verified; pass force=True to override")
     coeffs = np.array([t.coefficient for t in terms])
@@ -207,7 +224,8 @@ def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int
     n_total = budget.total
     rng_terms = _rng_for(seed, 0)
     term_counts = rng_terms.multinomial(n_total, probs)
-    tables = _term_tables(terms, values_a, values_b)
+    if tables is None:
+        tables = term_tables(terms, values_a, values_b)
 
     total = 0.0
     total_sq = 0.0
@@ -236,9 +254,12 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
                        values_a: np.ndarray, values_b: np.ndarray,
                        decomposition: Decomposition | None = None,
                        allocations: list[TermAllocation] | None = None,
-                       force: bool = False) -> EstimateRecord:
+                       force: bool = False, tables: TermTables | None = None) -> EstimateRecord:
     """Estimate each subcircuit expectation with its allocated shots, then
-    combine as sum_i a_i <O_A>_i <O_B>_i."""
+    combine as sum_i a_i <O_A>_i <O_B>_i.
+
+    ``tables`` is ``term_tables(terms, values_a, values_b)`` built in advance;
+    it is built here when omitted."""
     if decomposition is not None and not decomposition.verified and not force:
         raise ValueError("decomposition has not been verified; pass force=True to override")
     coeffs = np.array([t.coefficient for t in terms])
@@ -247,7 +268,8 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
         if decomposition is None:
             raise ValueError("either a decomposition or explicit allocations are required")
         allocations = allocate(decomposition, budget.total)
-    tables = _term_tables(terms, values_a, values_b)
+    if tables is None:
+        tables = term_tables(terms, values_a, values_b)
 
     estimate = 0.0
     variance = 0.0

@@ -14,7 +14,7 @@ dense contraction.  Wires carry qubit dimension 2.  All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -84,11 +84,13 @@ class TestDecomposeCommand:
         assert cli.cmd_decompose(8, 4, stream=stream) == 0
         assert "(PASS)" in stream.getvalue()
 
-    def test_invalid_sizes(self):
-        with pytest.raises(SystemExit):
-            cli.cmd_decompose(13, 1)
-        with pytest.raises(SystemExit):
-            cli.cmd_decompose(4, 4)
+    def test_invalid_sizes(self, capsys):
+        assert cli.main(["decompose", "--order", "13", "--cut", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "[2, 12]" in err
+        assert cli.main(["decompose", "--order", "4", "--cut", "4"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "[1, 3]" in err
 
 
 class TestKappaTableCommand:
@@ -170,6 +172,34 @@ class TestExperimentCommand:
             cli.cmd_experiment(str(cfg_path), str(tmp_path / name), stream=io.StringIO())
         assert (tmp_path / "one" / "runs.csv").read_bytes() == (tmp_path / "two" / "runs.csv").read_bytes()
         assert (tmp_path / "one" / "summary.json").read_bytes() == (tmp_path / "two" / "summary.json").read_bytes()
+
+
+EXPERIMENT_CONFIG = {"version": 1, "num_qubits": 3, "k": 1, "m": 2, "epsilon": 0.2,
+                     "repetitions": 1, "circuits": 1, "seed": 4}
+
+
+def config_path(tmp_path, kind: str, command: str):
+    """A config file that ``command`` must reject: missing, not JSON, or the other command's kind."""
+    path = tmp_path / "config.json"
+    if kind == "invalid-json":
+        path.write_text("{not json")
+    elif kind == "wrong-kind":
+        # each command gets the document the other command reads
+        path.write_text(json.dumps(EXPERIMENT_CONFIG) if command == "sample" else bell_document(tmp_path).read_text())
+    return path
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("kind", ["missing", "invalid-json", "wrong-kind"])
+    @pytest.mark.parametrize("command", ["sample", "experiment"])
+    def test_rejected_config_exits_2(self, tmp_path, capsys, command, kind):
+        argv = [command, "--config", str(config_path(tmp_path, kind, command))]
+        argv += ["--seed", "1"] if command == "sample" else ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "config.json" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestMainEntry:

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from mczcut import densesim, experiments
+from mczcut import densesim, experiments, sampler
 from mczcut.circuit import Observable, find_cut, validate
 from mczcut.experiments import (ExperimentConfig, RandomCircuitSpec,
                                 gen_random_circuit, kappa_table,
@@ -107,6 +107,23 @@ class TestHarness:
         serial = rows_to_csv(run_experiment(config, workers=1))
         parallel = rows_to_csv(run_experiment(config, workers=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("mode", ["preestimation", "circuit_sampling"])
+    def test_branch_tables_built_once_per_distinct_plan(self, monkeypatch, mode):
+        built = []
+        original = sampler.side_branches
+
+        def counting(plan):
+            built.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(sampler, "side_branches", counting)
+        config = ExperimentConfig(num_qubits=5, k=2, m=3, epsilon=0.2, mode=mode,
+                                  repetitions=3, circuits=2, seed=6)
+        run_experiment(config)
+        # a (2,3) cut has 17 terms (34 plans) over 14 distinct plans per circuit;
+        # repetitions build nothing
+        assert len(built) == len(set(built)) == 2 * 14
 
     def test_circuit_sampling_mode(self):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.25, delta=0.1,

@@ -216,6 +216,40 @@ class TestPreestimationMode:
             preestimation_mode(terms, ShotBudget(1000, 0.1, 3.0), 0, va, vb)
 
 
+class TestTermTables:
+    def test_estimate_builds_each_distinct_plan_once(self, monkeypatch):
+        _, d, terms, va, vb, _ = ccz_setup()
+        built = []
+        original = sampler.side_branches
+
+        def counting(plan):
+            built.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(sampler, "side_branches", counting)
+        preestimation_mode(terms, ShotBudget(6000, 0.1, d.kappa), 0, va, vb, decomposition=d)
+        plans = {plan for t in terms for plan in (t.side_a, t.side_b)}
+        assert len(built) == len(set(built)) == len(plans) < 2 * len(terms)
+
+    @pytest.mark.parametrize("estimator", [sample_circuit_mode, preestimation_mode])
+    def test_prebuilt_tables_byte_identical(self, estimator):
+        _, d, terms, va, vb, _ = ccz_setup()
+        budget = ShotBudget(6000, 0.1, d.kappa)
+        tables = sampler.term_tables(terms, va, vb)
+        for seed in (0, 13):
+            built_here = estimator(terms, budget, seed, va, vb, decomposition=d).to_json()
+            prebuilt = estimator(terms, budget, seed, va, vb, decomposition=d, tables=tables).to_json()
+            assert prebuilt.encode() == built_here.encode()
+
+    @pytest.mark.parametrize("estimator", [sample_circuit_mode, preestimation_mode])
+    def test_prebuilt_tables_keep_certification_gate(self, estimator):
+        _, _, terms, va, vb = bell_setup()
+        d = decompose_mcz(1, 1)  # never verified
+        tables = sampler.term_tables(terms, va, vb)
+        with pytest.raises(ValueError, match="verified"):
+            estimator(terms, ShotBudget(100, 0.5, d.kappa), 0, va, vb, decomposition=d, tables=tables)
+
+
 class TestSignBookkeeping:
     def test_flipping_xi_flips_term_contribution(self, monkeypatch):
         _, d, terms, va, vb = bell_setup()
