@@ -14,8 +14,7 @@ from .cutter import (Decomposition, DecompositionTerm, LocalOperation,
                      decompose_mcz, embed, exact_cut_expectation, kappa,
                      rewrite_projector, verify)
 from .densesim import (StateVector, Superoperator, expval, project, run,
-                       sample_bitstring, superop_of_local_operation,
-                       superop_of_unitary)
+                       superop_of_local_operation, superop_of_unitary)
 from .sampler import (EstimateRecord, ShotBudget, TermAllocation, allocate,
                       empirical_variance_report, hoeffding_shots,
                       preestimation_budget, preestimation_mode,
@@ -28,7 +27,7 @@ __all__ = [
     "decompose_ccz", "decompose_choi_block", "decompose_mcz", "embed", "exact_cut_expectation",
     "kappa", "rewrite_projector", "verify",
     "StateVector", "Superoperator", "expval", "project", "run",
-    "sample_bitstring", "superop_of_local_operation", "superop_of_unitary",
+    "superop_of_local_operation", "superop_of_unitary",
     "EstimateRecord", "ShotBudget", "TermAllocation", "allocate",
     "empirical_variance_report", "hoeffding_shots", "preestimation_budget",
     "preestimation_mode", "sample_circuit_mode",

@@ -9,9 +9,10 @@ Subcommands:
 * ``experiment``   -- the Fig-style uncut/cut comparison dataset
 
 Exit code 0 means every requested check passed; exit code 2 with a one-line
-message means the input was rejected (a missing or malformed config, an
-out-of-range order or cut, an invalid MCZCUT_SEED, or a cut whose
-decomposition cannot be certified).  Identical invocations with identical
+message means the input was rejected (a missing or malformed config, a
+circuit without exactly one cross-partition MCZ, an epsilon or delta no
+budget meets, an out-of-range order or cut, an invalid MCZCUT_SEED, or a cut
+whose decomposition cannot be certified).  Identical invocations with identical
 seeds produce byte-identical output files.  The MCZCUT_SEED environment
 variable supplies a default seed when --seed is absent.
 """
@@ -167,7 +168,14 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
         circuit = parse(Path(config_path).read_text())
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot read circuit document {config_path}: {exc}") from None
-    cut = find_cut(circuit)
+    try:
+        cut = find_cut(circuit)
+    except ValueError as exc:
+        raise InputError(f"no cuttable MCZ in {config_path}: {exc}") from None
+    try:
+        sampler.check_accuracy(epsilon, delta if mode == "shots" else None)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     decomposition = cutter.decompose_mcz(cut.k, cut.m)
     if not force:
         if cut.order > cutter.MAX_CERTIFIED_ORDER:

@@ -2,9 +2,15 @@
 
 Serves as the execution backend for sampling.  Its dense superoperators are
 the brute-force oracle that cross-checks decomposition certification at small
-orders (cutter certifies with diagonal channel multipliers instead).  Gate
-application uses strided kernels over the amplitude array; full matrices are
-built only inside the superoperator routines.
+orders (cutter certifies with diagonal channel multipliers instead).  Full
+matrices are built only inside the superoperator routines; gates act on the
+amplitude array viewed as an n-axis tensor of 2s:
+
+* a single-qubit gate moves its qubit's axis to the front and makes one
+  2 x 2^(n-1) ``np.dot`` (the BLAS product ``np.tensordot`` would make,
+  without its per-call bookkeeping, so results are bit-identical to it);
+* CNOT flips the target axis inside the control's 1-slice;
+* CZ, MCZ and MCP scale the slice where all their qubits are 1.
 
 Vectorization convention: column-major, vec(rho)[c*D + r] = rho[r, c], so a
 unitary channel U has superoperator matrix conj(U) (x) U and the map
@@ -16,6 +22,7 @@ Supported sizes: statevectors up to 20 qubits, superoperators up to 6 qubits
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,14 +87,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """A measured bitstring over a qubit subset together with its probability."""
-
-    bits: str
-    probability: float
-
-
 @dataclass
 class Superoperator:
     """Dense matrix acting on column-major vectorized density matrices."""
@@ -115,10 +114,24 @@ class Superoperator:
 # Strided gate kernels
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _single_axes(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order bringing qubit q to the front of an n-qubit tensor, and its inverse.
+
+    Cached: n <= MAX_STATE_QUBITS bounds the cache at 210 entries.
+    """
+    fwd = (q,) + tuple(a for a in range(n) if a != q)
+    return fwd, tuple(int(a) for a in np.argsort(fwd))
+
+
 def _apply_single(amps: np.ndarray, n: int, matrix: np.ndarray, q: int) -> np.ndarray:
-    psi = amps.reshape((2,) * n)
-    out = np.tensordot(matrix, psi, axes=([1], [q]))
-    return np.moveaxis(out, 0, q).reshape(-1)
+    # The same BLAS product np.tensordot(matrix, psi, ([1], [q])) makes, without
+    # its per-call bookkeeping.  One expression, so the transposed operand is
+    # freed before the result is copied back into qubit order.
+    fwd, inv = _single_axes(n, q)
+    shape = (2,) * n
+    return (np.dot(matrix, amps.reshape(shape).transpose(fwd).reshape(2, -1))
+            .reshape(shape).transpose(inv).reshape(-1))
 
 
 def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
@@ -190,7 +203,7 @@ def apply_diagonal(state: StateVector, qubits, local_diag: np.ndarray) -> StateV
 
 
 # ---------------------------------------------------------------------------
-# Expectation values, sampling, projection
+# Expectation values, projection
 # ---------------------------------------------------------------------------
 
 def expval(state: StateVector, obs) -> float:
@@ -198,18 +211,6 @@ def expval(state: StateVector, obs) -> float:
     if obs.values.size != state.amplitudes.size:
         raise ValueError("dimension mismatch between state and observable")
     return float(np.real(state.probabilities() @ obs.values))
-
-
-def sample_basis_indices(state: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    return rng.choice(probs.size, size=shots, p=probs)
-
-
-def sample_bitstring(state: StateVector, rng: np.random.Generator) -> str:
-    """Draw one bitstring with Born probability |<s|psi>|^2."""
-    idx = int(sample_basis_indices(state, 1, rng)[0])
-    return format(idx, f"0{state.num_qubits}b")
 
 
 def _subset_probabilities(state: StateVector, qubits) -> np.ndarray:
@@ -251,15 +252,6 @@ def project(state: StateVector, qubits, outcome: str | int | None = None,
     flat[outcome_idx] = keep / math.sqrt(p)
     psi = np.moveaxis(flat.reshape((2,) * n), range(k), qubits)
     return StateVector(np.ascontiguousarray(psi).reshape(-1), n), p
-
-
-def measure(state: StateVector, qubits, rng: np.random.Generator) -> tuple[MeasurementOutcome, StateVector]:
-    """Sample a computational-basis measurement on a qubit subset."""
-    qubits = list(qubits)
-    probs = _subset_probabilities(state, qubits)
-    idx = int(rng.choice(probs.size, p=probs / probs.sum()))
-    post, p = project(state, qubits, idx)
-    return MeasurementOutcome(format(idx, f"0{len(qubits)}b"), p), post
 
 
 # ---------------------------------------------------------------------------

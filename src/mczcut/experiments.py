@@ -5,13 +5,16 @@ split proportionally across the two partitions, half before and half after a
 central MCZ spanning all qubits, with rotation angles uniform in [0, 2pi).
 A candidate is rejected until removing the MCZ changes the exact Z-string
 expectation by more than the impact threshold, so the gate being cut always
-matters for the measured observable.
+matters for the measured observable.  Both values share the candidate's
+prefix: the gates before the MCZ are simulated once, and only the gates after
+it run twice.  The accepted circuit's final state comes out of that test, so
+an experiment never simulates an accepted circuit again.
 
 The experiment harness compares, per circuit and repetition, the exact
 expectation against (a) plain sampling of the uncut circuit at N shots and
 (b) the cut-circuit estimate at the same total N, and emits a tidy dataset
-plus quantile summaries.  Each circuit is simulated once and its branch
-tables are built once, before any repetition; a repetition only samples.
+plus quantile summaries.  Each circuit's branch tables are built once,
+before any repetition; a repetition only samples.
 Repetitions can run in a worker pool (the tables travel with the tasks); the
 output is ordered by (repetition, circuit) index and is byte-identical for a
 fixed seed regardless of worker count.
@@ -70,6 +73,7 @@ class ExperimentConfig:
             raise ValueError("need at least one repetition")
         if self.mode not in ("preestimation", "circuit_sampling"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        sampler.check_accuracy(self.epsilon, self.delta if self.mode == "circuit_sampling" else None)
 
     @staticmethod
     def from_document(doc: dict) -> "ExperimentConfig":
@@ -97,6 +101,16 @@ def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator,
     the MCZ differ by more than the impact threshold; raises after the
     attempt limit (the difference can never exceed 2).
     """
+    return _random_circuit_and_state(n, k, m, rng, spec)[0]
+
+
+def _random_circuit_and_state(n: int, k: int, m: int, rng: np.random.Generator,
+                              spec: RandomCircuitSpec) -> tuple[Circuit, densesim.StateVector]:
+    """``gen_random_circuit`` together with the accepted circuit's final state.
+
+    Each candidate's gates before the MCZ are simulated once; the gates after
+    it run twice from that state, once behind the MCZ and once without it.
+    """
     if k + m != n or not 2 <= n <= 6:
         raise ValueError("need k + m = n with n between 2 and 6")
     qubits_a = list(range(k))
@@ -111,32 +125,36 @@ def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator,
         cnots_a, cnots_b = spec.cnots, 0
     partition = tuple("A" if q < k else "B" for q in range(n))
     observable = Observable.z_string(n)
+    mcz = Gate("MCZ", tuple(range(n)))
+
+    def local_block(qubits, n_rot, n_cnot):
+        gates = []
+        for _ in range(n_rot):
+            kind = ("RX", "RY", "RZ")[rng.integers(3)]
+            # the draw rng.choice(qubits) makes, without its per-call overhead
+            qubit = qubits[int(rng.integers(len(qubits)))]
+            gates.append(Gate(kind, (qubit,), float(rng.uniform(0, 2 * math.pi))))
+        for _ in range(n_cnot):
+            pair = rng.choice(qubits, size=2, replace=False)
+            gates.append(Gate("CNOT", (int(pair[0]), int(pair[1]))))
+        rng.shuffle(gates)
+        return gates
 
     for _ in range(spec.max_attempts):
-        def local_block(qubits, n_rot, n_cnot):
-            gates = []
-            for _ in range(n_rot):
-                kind = ("RX", "RY", "RZ")[rng.integers(3)]
-                gates.append(Gate(kind, (int(rng.choice(qubits)),), float(rng.uniform(0, 2 * math.pi))))
-            for _ in range(n_cnot):
-                pair = rng.choice(qubits, size=2, replace=False)
-                gates.append(Gate("CNOT", (int(pair[0]), int(pair[1]))))
-            rng.shuffle(gates)
-            return gates
-
         # half of each partition's gates before the central MCZ, half after
-        pre = local_block(qubits_a, rot_a // 2, cnots_a // 2) + local_block(qubits_b, rot_b // 2, cnots_b // 2)
-        post = local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2) \
-            + local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
-        gates = tuple(pre) + (Gate("MCZ", tuple(range(n))),) + tuple(post)
-        circuit = Circuit(n, gates, partition)
-        cut_index = len(pre)
+        pre = tuple(local_block(qubits_a, rot_a // 2, cnots_a // 2)
+                    + local_block(qubits_b, rot_b // 2, cnots_b // 2))
+        post = tuple(local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
+                     + local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2))
 
-        with_gate = densesim.expval(densesim.run(circuit), observable)
-        without = densesim.expval(densesim.run(circuit.without_gate(cut_index)), observable)
+        pre_state = densesim.run(Circuit(n, pre))
+        state = densesim.run(Circuit(n, (mcz,) + post), pre_state)
+        with_gate = densesim.expval(state, observable)
+        without = densesim.expval(densesim.run(Circuit(n, post), pre_state), observable)
         if abs(with_gate - without) > spec.impact_threshold:
+            circuit = Circuit(n, pre + (mcz,) + post, partition)
             validate(circuit)
-            return circuit
+            return circuit, state
     raise RuntimeError(f"no circuit reached impact threshold {spec.impact_threshold} "
                        f"in {spec.max_attempts} attempts")
 
@@ -180,12 +198,11 @@ def _prepare_circuits(config: ExperimentConfig):
     observable = Observable.z_string(config.num_qubits)
     prepared = []
     for c in range(config.circuits):
-        circuit = gen_random_circuit(config.num_qubits, config.k, config.m,
-                                     _rng(config.seed, 100, c), config.spec)
+        circuit, state = _random_circuit_and_state(config.num_qubits, config.k, config.m,
+                                                   _rng(config.seed, 100, c), config.spec)
         cut = find_cut(circuit)
         terms = cutter.embed(decomposition, cut)
         values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
-        state = densesim.run(circuit)
         prepared.append({
             "circuit": circuit,
             "terms": terms,

@@ -50,10 +50,21 @@ class ShotBudget:
         return ShotBudget(preestimation_budget(epsilon, kappa), epsilon, kappa, mode="preestimation")
 
 
+def check_accuracy(epsilon: float, delta: float | None = None) -> None:
+    """Reject accuracy targets that no shot budget meets.
+
+    Epsilon must be positive and finite.  With a confidence parameter
+    (circuit sampling's Hoeffding budget) epsilon and delta must lie in (0, 1).
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if delta is not None and not (epsilon < 1 and 0 < delta < 1):
+        raise ValueError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
+
+
 def hoeffding_shots(epsilon: float, delta: float, kappa: float, cuts: int = 1) -> int:
     """Smallest N with N >= 2 kappa^{2K} / eps^2 * ln(2 / delta)."""
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
+    check_accuracy(epsilon, delta)
     if kappa < 1 or cuts < 1:
         raise ValueError("kappa must be >= 1 and cuts >= 1")
     bound = 2.0 * (kappa**cuts) ** 2 / epsilon**2 * math.log(2.0 / delta)
@@ -62,8 +73,7 @@ def hoeffding_shots(epsilon: float, delta: float, kappa: float, cuts: int = 1) -
 
 def preestimation_budget(epsilon: float, kappa: float) -> int:
     """N = ceil(4 kappa^2 / eps^2), bounding the estimator's std-dev by eps."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_accuracy(epsilon)
     return int(math.ceil(4.0 * kappa**2 / epsilon**2))
 
 
@@ -131,8 +141,30 @@ class EstimateRecord:
 
 @dataclass
 class SideTable:
-    branches: list[Branch]
-    values: np.ndarray  # observable values per outcome
+    """What the samplers draw from for one subcircuit plan and its side's
+    observable values, computed once per table rather than per estimate:
+
+    * ``probs``: the normalised branch probabilities;
+    * ``dists``: each branch's normalised outcome distribution, ``None`` for
+      a discarded (sign 0) branch, which contributes nothing;
+    * ``signed``/``signed_sq``: each branch's sign times the observable
+      values, and its square (one array per distinct sign).
+    """
+
+    probs: np.ndarray
+    dists: list[np.ndarray | None]
+    signed: list[np.ndarray]
+    signed_sq: list[np.ndarray]
+
+    @staticmethod
+    def from_branches(branches: list[Branch], values: np.ndarray) -> "SideTable":
+        probs = np.array([b.prob for b in branches])
+        signed = {b.sign: b.sign * values for b in branches}
+        squares = {sign: vals**2 for sign, vals in signed.items()}
+        return SideTable(probs / probs.sum(),
+                         [None if b.sign == 0.0 else b.distribution / b.distribution.sum() for b in branches],
+                         [signed[b.sign] for b in branches],
+                         [squares[b.sign] for b in branches])
 
 
 TermTables = list[tuple[SideTable, SideTable]]
@@ -143,14 +175,15 @@ def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.nd
 
     Tables depend only on the subcircuit plans, never on a seed, so one list
     serves every estimate over the same terms (the ``tables=`` keyword of the
-    estimators).
+    estimators).  A plan names its side's source qubits, so no A-side plan
+    equals a B-side plan and one dict serves both sides.
     """
-    branches: dict[SubcircuitPlan, list[Branch]] = {}
+    tables: dict[SubcircuitPlan, SideTable] = {}
 
     def table(plan: SubcircuitPlan, values: np.ndarray) -> SideTable:
-        if plan not in branches:
-            branches[plan] = side_branches(plan)
-        return SideTable(branches[plan], values)
+        if plan not in tables:
+            tables[plan] = SideTable.from_branches(side_branches(plan), values)
+        return tables[plan]
 
     return [(table(t.side_a, values_a), table(t.side_b, values_b)) for t in terms]
 
@@ -161,46 +194,35 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
 
 def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
     """Draw ``shots`` independent runs of one subcircuit; return (sum, sum of squares)."""
-    probs = np.array([b.prob for b in table.branches])
-    probs = probs / probs.sum()
-    branch_counts = rng.multinomial(shots, probs)
+    branch_counts = rng.multinomial(shots, table.probs)
     total = 0.0
     total_sq = 0.0
-    for branch, count in zip(table.branches, branch_counts):
-        if count == 0:
-            continue
-        if branch.sign == 0.0:
+    for count, dist, vals, vals_sq in zip(branch_counts, table.dists, table.signed, table.signed_sq):
+        if count == 0 or dist is None:
             continue  # discarded branches contribute zero
-        dist = branch.distribution / branch.distribution.sum()
         outcome_counts = rng.multinomial(count, dist)
-        vals = branch.sign * table.values
         total += float(outcome_counts @ vals)
-        total_sq += float(outcome_counts @ vals**2)
+        total_sq += float(outcome_counts @ vals_sq)
     return total, total_sq
 
 
 def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
                            rng: np.random.Generator):
     """Draw ``shots`` paired runs; return per-shot product sums (sum, sum of squares, max |v|)."""
-    probs_a = np.array([b.prob for b in table_a.branches])
-    probs_b = np.array([b.prob for b in table_b.branches])
-    joint = np.outer(probs_a / probs_a.sum(), probs_b / probs_b.sum()).reshape(-1)
-    pair_counts = rng.multinomial(shots, joint).reshape(len(table_a.branches), len(table_b.branches))
+    joint = np.outer(table_a.probs, table_b.probs).reshape(-1)
+    pair_counts = rng.multinomial(shots, joint).reshape(table_a.probs.size, table_b.probs.size)
     total = 0.0
     total_sq = 0.0
     vmax = 0.0
-    for ia, branch_a in enumerate(table_a.branches):
-        for ib, branch_b in enumerate(table_b.branches):
+    for ia, (dist_a, vals_a) in enumerate(zip(table_a.dists, table_a.signed)):
+        if dist_a is None:
+            continue
+        for ib, (dist_b, vals_b) in enumerate(zip(table_b.dists, table_b.signed)):
             count = int(pair_counts[ia, ib])
-            if count == 0:
+            if count == 0 or dist_b is None:
                 continue
-            if branch_a.sign == 0.0 or branch_b.sign == 0.0:
-                continue
-            dist = np.outer(branch_a.distribution / branch_a.distribution.sum(),
-                            branch_b.distribution / branch_b.distribution.sum()).reshape(-1)
-            outcome_counts = rng.multinomial(count, dist)
-            vals = np.outer(branch_a.sign * table_a.values,
-                            branch_b.sign * table_b.values).reshape(-1)
+            outcome_counts = rng.multinomial(count, np.outer(dist_a, dist_b).reshape(-1))
+            vals = np.outer(vals_a, vals_b).reshape(-1)
             total += float(outcome_counts @ vals)
             total_sq += float(outcome_counts @ vals**2)
             vmax = max(vmax, float(np.max(np.abs(vals[outcome_counts > 0]))))

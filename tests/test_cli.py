@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,24 @@ class TestExperimentCommand:
         assert (tmp_path / "one" / "summary.json").read_bytes() == (tmp_path / "two" / "summary.json").read_bytes()
 
 
+    def test_criterion_six_config_golden_digests(self, tmp_path):
+        # The README criterion-6 config.  Digests of the files written before
+        # the single-qubit kernel became one np.dot and before the generator
+        # shared each candidate's pre-MCZ prefix; they pin every bit of the
+        # seeded output (computed with numpy 2 on OpenBLAS).
+        config = {"version": 1, "num_qubits": 5, "k": 2, "m": 3, "epsilon": 0.01,
+                  "mode": "preestimation", "repetitions": 20, "circuits": 5, "seed": 11}
+        cfg_path = tmp_path / "experiment.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.cmd_experiment(str(cfg_path), str(tmp_path / "out"), stream=io.StringIO()) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("runs.csv", "summary.json")}
+        assert digests == {
+            "runs.csv": "3ce120182a00b6451e6f757bef1f89b8e58aa0dbd12c8a592ed3ec3510b64987",
+            "summary.json": "cd37105b9197b901426295ea622129109ce1d8c86fc3917fba0a206eb8f69a43",
+        }
+
+
 EXPERIMENT_CONFIG = {"version": 1, "num_qubits": 3, "k": 1, "m": 2, "epsilon": 0.2,
                      "repetitions": 1, "circuits": 1, "seed": 4}
 
@@ -199,6 +218,36 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and "config.json" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestRejectedInput:
+    def test_circuit_without_cross_partition_mcz(self, tmp_path, capsys):
+        doc = tmp_path / "h-only.json"
+        doc.write_text(serialize(Circuit(2, (h(0), h(1)), ("A", "B"))))
+        assert cli.main(["sample", "--config", str(doc), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "no cross-partition gate" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--epsilon", "nan"],
+                                       ["--mode", "shots", "--delta", "1.5"]])
+    def test_sample_accuracy_targets(self, tmp_path, capsys, flags):
+        out = tmp_path / "record.json"
+        argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "1", "--out", str(out)]
+        assert cli.main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("fields", [{"epsilon": 0}, {"epsilon": -0.1},
+                                        {"mode": "circuit_sampling", "delta": 1.5}])
+    def test_experiment_accuracy_targets(self, tmp_path, capsys, fields):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err
         assert not (tmp_path / "out").exists()
 
 

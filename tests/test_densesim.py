@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from mczcut import densesim
 from mczcut.circuit import Circuit, Observable, cz, h, mcz, x
 from mczcut.cutter import LocalOperation
-from mczcut.densesim import (StateVector, expval, measure, pair_superop,
-                             project, run, sample_basis_indices,
-                             sample_bitstring, superop_of_local_operation,
-                             superop_of_unitary)
+from mczcut.densesim import (StateVector, expval, pair_superop, project, run,
+                             superop_of_local_operation, superop_of_unitary)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -60,6 +57,26 @@ class TestRun:
             run(Circuit(2, (h(0),)), StateVector.zero(3))
 
 
+def tensordot_single(amps: np.ndarray, n: int, matrix: np.ndarray, q: int) -> np.ndarray:
+    """Reference single-qubit kernel: contract the matrix with qubit q's axis."""
+    out = np.tensordot(matrix, amps.reshape((2,) * n), axes=([1], [q]))
+    return np.moveaxis(out, 0, q).reshape(-1)
+
+
+class TestSingleQubitKernel:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_tensordot(self, n):
+        rng = np.random.default_rng(n)
+        matrices = [densesim.rotation_matrix(kind, float(angle))
+                    for kind in ("RX", "RY", "RZ") for angle in rng.uniform(0, 2 * math.pi, size=3)]
+        matrices += list(densesim.GATE_MATRICES.values())
+        for q in range(n):
+            for matrix in matrices:
+                amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                out = densesim._apply_single(amps, n, matrix, q)
+                assert np.array_equal(out, tensordot_single(amps, n, matrix, q))
+
+
 class TestExpval:
     def test_all_zeros(self):
         assert expval(StateVector.zero(3), Observable.z_string(3)) == 1.0
@@ -72,34 +89,6 @@ class TestExpval:
         # (|00> + |01>)/sqrt(2): parities +1 and -1 at weight 1/2 each
         state = StateVector.from_amplitudes([INV_SQRT2, INV_SQRT2, 0, 0])
         assert expval(state, Observable.z_string(2)) == pytest.approx(0.0)
-
-
-class TestSampling:
-    def test_deterministic_state(self):
-        state = StateVector.from_amplitudes([0, 0, 1, 0])
-        rng = np.random.default_rng(0)
-        assert sample_bitstring(state, rng) == "10"
-
-    def test_plus_state_frequency(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, INV_SQRT2])
-        rng = np.random.default_rng(123)
-        draws = sample_basis_indices(state, 100_000, rng)
-        # binomial 3 sigma: 3 * 0.5 / sqrt(1e5) < 0.005
-        assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_seed_determinism(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, 0, 0, INV_SQRT2])
-        a = [sample_bitstring(state, np.random.default_rng(7)) for _ in range(20)]
-        b = [sample_bitstring(state, np.random.default_rng(7)) for _ in range(20)]
-        assert a == b
-
-    def test_chi_square_against_born_rule(self, rng):
-        state = random_state(3, rng)
-        probs = state.probabilities()
-        draws = sample_basis_indices(state, 100_000, np.random.default_rng(99))
-        counts = np.bincount(draws, minlength=8)
-        result = stats.chisquare(counts, probs * 100_000)
-        assert result.pvalue > 0.001
 
 
 class TestProject:
@@ -124,12 +113,6 @@ class TestProject:
         post, p = project(state, [0], rng=np.random.default_rng(5))
         assert p == pytest.approx(0.5)
         assert abs(abs(post.amplitudes).max() - 1.0) < 1e-12
-
-    def test_measure_outcome_record(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, 0, 0, INV_SQRT2])
-        outcome, post = measure(state, [0, 1], np.random.default_rng(2))
-        assert outcome.bits in ("00", "11")
-        assert outcome.probability == pytest.approx(0.5)
 
 
 class TestSuperoperators:

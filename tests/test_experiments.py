@@ -1,17 +1,64 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
 from mczcut import densesim, experiments, sampler
-from mczcut.circuit import Observable, find_cut, validate
+from mczcut.circuit import Circuit, Gate, Observable, find_cut, validate
 from mczcut.experiments import (ExperimentConfig, RandomCircuitSpec,
                                 gen_random_circuit, kappa_table,
                                 run_experiment, rows_to_csv, summarize)
 
 
+def reference_random_circuit(n, k, m, rng, spec=RandomCircuitSpec()):
+    """Reference generator: draws qubits with rng.choice and simulates each
+    candidate twice from |0...0>, with and without the MCZ."""
+    qubits_a, qubits_b = list(range(k)), list(range(k, n))
+    rot_a, rot_b = experiments._split_counts(spec.rotations, k, m)
+    cnots_a, cnots_b = experiments._split_counts(spec.cnots, k, m)
+    if k < 2 and m < 2:
+        cnots_a = cnots_b = 0
+    elif k < 2:
+        cnots_a, cnots_b = 0, spec.cnots
+    elif m < 2:
+        cnots_a, cnots_b = spec.cnots, 0
+    partition = tuple("A" if q < k else "B" for q in range(n))
+    observable = Observable.z_string(n)
+
+    def local_block(qubits, n_rot, n_cnot):
+        gates = []
+        for _ in range(n_rot):
+            kind = ("RX", "RY", "RZ")[rng.integers(3)]
+            gates.append(Gate(kind, (int(rng.choice(qubits)),), float(rng.uniform(0, 2 * math.pi))))
+        for _ in range(n_cnot):
+            pair = rng.choice(qubits, size=2, replace=False)
+            gates.append(Gate("CNOT", (int(pair[0]), int(pair[1]))))
+        rng.shuffle(gates)
+        return gates
+
+    for _ in range(spec.max_attempts):
+        pre = local_block(qubits_a, rot_a // 2, cnots_a // 2) + local_block(qubits_b, rot_b // 2, cnots_b // 2)
+        post = local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2) \
+            + local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
+        circuit = Circuit(n, tuple(pre) + (Gate("MCZ", tuple(range(n))),) + tuple(post), partition)
+        with_gate = densesim.expval(densesim.run(circuit), observable)
+        without = densesim.expval(densesim.run(circuit.without_gate(len(pre))), observable)
+        if abs(with_gate - without) > spec.impact_threshold:
+            return circuit
+    raise RuntimeError("no circuit reached the impact threshold")
+
+
 class TestRandomCircuits:
+    @pytest.mark.parametrize("k,m", [(k, n - k) for n in (3, 4, 5) for k in range(1, n)])
+    def test_matches_reference_generator(self, k, m):
+        for seed in range(50):
+            circuit, state = experiments._random_circuit_and_state(
+                k + m, k, m, np.random.default_rng(seed), RandomCircuitSpec())
+            assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
+            assert np.array_equal(state.amplitudes, densesim.run(circuit).amplitudes)
+
     def test_five_qubit_circuit(self):
         rng = np.random.default_rng(7)
         circuit = gen_random_circuit(5, 3, 2, rng)

@@ -41,6 +41,16 @@ class TestBudgets:
     def test_preestimation_degenerate(self):
         assert preestimation_budget(2.0, 1.0) == 1
 
+    @pytest.mark.parametrize("epsilon,delta", [(0.0, None), (-0.1, None), (math.nan, None),
+                                               (math.inf, None), (1.5, 0.05), (0.1, 1.5), (0.1, 0.0)])
+    def test_accuracy_targets_rejected(self, epsilon, delta):
+        with pytest.raises(ValueError, match="epsilon"):
+            sampler.check_accuracy(epsilon, delta)
+
+    def test_preestimation_rejects_zero_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            preestimation_budget(0.0, 6.0)
+
     def test_budget_constructors(self):
         b = ShotBudget.for_circuit_sampling(0.1, 0.05, 6.0)
         assert b.total == 26560 and b.mode == "circuit_sampling"
@@ -248,6 +258,62 @@ class TestTermTables:
         tables = sampler.term_tables(terms, va, vb)
         with pytest.raises(ValueError, match="verified"):
             estimator(terms, ShotBudget(100, 0.5, d.kappa), 0, va, vb, decomposition=d, tables=tables)
+
+
+def reference_side_sum(branches, values, shots, rng):
+    """Side sampler normalising every branch per call."""
+    probs = np.array([b.prob for b in branches])
+    branch_counts = rng.multinomial(shots, probs / probs.sum())
+    total = total_sq = 0.0
+    for branch, count in zip(branches, branch_counts):
+        if count == 0 or branch.sign == 0.0:
+            continue
+        outcome_counts = rng.multinomial(count, branch.distribution / branch.distribution.sum())
+        vals = branch.sign * values
+        total += float(outcome_counts @ vals)
+        total_sq += float(outcome_counts @ vals**2)
+    return total, total_sq
+
+
+def reference_joint_products(side_a, side_b, shots, rng):
+    """Paired sampler normalising every branch pair per call."""
+    (branches_a, values_a), (branches_b, values_b) = side_a, side_b
+    probs_a = np.array([b.prob for b in branches_a])
+    probs_b = np.array([b.prob for b in branches_b])
+    joint = np.outer(probs_a / probs_a.sum(), probs_b / probs_b.sum()).reshape(-1)
+    pair_counts = rng.multinomial(shots, joint).reshape(len(probs_a), len(probs_b))
+    total = total_sq = vmax = 0.0
+    for ia, branch_a in enumerate(branches_a):
+        for ib, branch_b in enumerate(branches_b):
+            count = int(pair_counts[ia, ib])
+            if count == 0 or branch_a.sign == 0.0 or branch_b.sign == 0.0:
+                continue
+            dist = np.outer(branch_a.distribution / branch_a.distribution.sum(),
+                            branch_b.distribution / branch_b.distribution.sum()).reshape(-1)
+            outcome_counts = rng.multinomial(count, dist)
+            vals = np.outer(branch_a.sign * values_a, branch_b.sign * values_b).reshape(-1)
+            total += float(outcome_counts @ vals)
+            total_sq += float(outcome_counts @ vals**2)
+            vmax = max(vmax, float(np.max(np.abs(vals[outcome_counts > 0]))))
+    return total, total_sq, vmax
+
+
+class TestSideTable:
+    def test_samplers_match_per_call_normalisation(self):
+        _, _, terms, va, vb, _ = ccz_setup()
+        sides = [((cutter.side_branches(t.side_a), va), (cutter.side_branches(t.side_b), vb)) for t in terms]
+        # a projector side: one discarded (sign 0) branch between kept ones
+        dists = np.random.default_rng(4).uniform(size=(3, vb.size))
+        projector = [cutter.Branch(p, sign, dist) for p, sign, dist in zip((0.5, 0.3, 0.2), (1.0, 0.0, -1.0), dists)]
+        sides.append((sides[0][0], (projector, vb)))
+        for i, (side_a, side_b) in enumerate(sides):
+            table_a, table_b = (sampler.SideTable.from_branches(*side) for side in (side_a, side_b))
+            for shots in (1, 37, 5000):
+                for table, side in ((table_a, side_a), (table_b, side_b)):
+                    assert (sampler._sample_side_sum(table, shots, np.random.default_rng(i))
+                            == reference_side_sum(*side, shots, np.random.default_rng(i)))
+                assert (sampler._sample_joint_products(table_a, table_b, shots, np.random.default_rng(i))
+                        == reference_joint_products(side_a, side_b, shots, np.random.default_rng(i)))
 
 
 class TestSignBookkeeping:
