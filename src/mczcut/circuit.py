@@ -138,10 +138,6 @@ class Circuit:
             raise ValueError("circuit has no partition")
         return tuple(q for q, lab in enumerate(self.partition) if lab == label)
 
-    def without_gate(self, index: int) -> "Circuit":
-        gates = self.gates[:index] + self.gates[index + 1:]
-        return Circuit(self.num_qubits, gates, self.partition)
-
 
 @dataclass(frozen=True)
 class PartitionedCut:

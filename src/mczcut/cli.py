@@ -9,12 +9,13 @@ Subcommands:
 * ``experiment``   -- the Fig-style uncut/cut comparison dataset
 
 Exit code 0 means every requested check passed; exit code 2 with a one-line
-message means the input was rejected (a missing or malformed config, a
-circuit without exactly one cross-partition MCZ, an epsilon or delta no
-budget meets, an out-of-range order or cut, an invalid MCZCUT_SEED, or a cut
-whose decomposition cannot be certified).  Identical invocations with identical
-seeds produce byte-identical output files.  The MCZCUT_SEED environment
-variable supplies a default seed when --seed is absent.
+message means the input was rejected (a missing or malformed config, an
+experiment config field of the wrong type or range, a circuit without
+exactly one cross-partition MCZ, an epsilon or delta no budget meets, an
+out-of-range order or cut, a seed that is not a non-negative integer, or a
+cut whose decomposition cannot be certified).  Identical invocations with
+identical seeds produce byte-identical output files.  The MCZCUT_SEED
+environment variable supplies a default seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -40,13 +41,18 @@ class InputError(Exception):
 
 
 def _default_seed(args_seed: int | None) -> int:
+    """The --seed value, else MCZCUT_SEED, else 0; a seed must be a non-negative integer."""
     if args_seed is not None:
-        return args_seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
+        source, raw = "--seed", args_seed
+    else:
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise InputError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

@@ -421,12 +421,10 @@ def _mcz_channel_from_hbox_form(k: int, m: int) -> np.ndarray:
 def _dense_oracle_residual(decomposition: Decomposition) -> float:
     """Frobenius residual of the term sum against the MCZ channel, computed
     with dense superoperator matrices (independent of the multiplier path)."""
-    d = 2**decomposition.order
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for t in decomposition.terms:
-        sa = densesim.superop_of_local_operation(t.op_a)
-        sb = densesim.superop_of_local_operation(t.op_b)
-        total += t.coefficient * densesim.pair_superop(sa, sb).matrix
+    superops = {op: densesim.superop_of_local_operation(op)
+                for t in decomposition.terms for op in (t.op_a, t.op_b)}
+    total = densesim.pair_superop([(t.coefficient, superops[t.op_a], superops[t.op_b])
+                                   for t in decomposition.terms]).matrix
     target = densesim.superop_of_unitary(densesim.mcz_unitary(decomposition.order)).matrix
     return float(np.linalg.norm(total - target))
 

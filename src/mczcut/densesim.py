@@ -2,9 +2,16 @@
 
 Serves as the execution backend for sampling.  Its dense superoperators are
 the brute-force oracle that cross-checks decomposition certification at small
-orders (cutter certifies with diagonal channel multipliers instead).  Full
-matrices are built only inside the superoperator routines; gates act on the
-amplitude array viewed as an n-axis tensor of 2s:
+orders (cutter certifies with diagonal channel multipliers instead):
+
+* a diagonal-Kraus map's superoperator is itself diagonal, so it is summed as
+  one 4^n vector of Kronecker products of the Kraus diagonals and placed on
+  the diagonal once;
+* a decomposition's weighted sum of product channels sum_j a_j F_A,j (x) F_B,j
+  is one einsum over the stacked side superoperators (``pair_superop``).
+
+Full matrices are built only inside the superoperator routines; gates act on
+the amplitude array viewed as an n-axis tensor of 2s:
 
 * a single-qubit gate moves its qubit's axis to the front and makes one
   2 x 2^(n-1) ``np.dot`` (the BLAS product ``np.tensordot`` would make,
@@ -222,24 +229,16 @@ def _subset_probabilities(state: StateVector, qubits) -> np.ndarray:
     return np.abs(psi.reshape(2**k, -1)) ** 2 @ np.ones(2**(n - k)) if n > k else np.abs(psi.reshape(-1)) ** 2
 
 
-def project(state: StateVector, qubits, outcome: str | int | None = None,
-            rng: np.random.Generator | None = None) -> tuple[StateVector, float]:
+def project(state: StateVector, qubits, outcome: str | int) -> tuple[StateVector, float]:
     """Project onto a computational-basis outcome of the given qubits.
 
     Returns the renormalized post-measurement state and the outcome
-    probability.  When ``rng`` is given the outcome is sampled from the Born
-    distribution instead of being taken as input.  Projecting onto a
-    zero-probability outcome is an error.
+    probability.  Projecting onto a zero-probability outcome is an error.
     """
     qubits = list(qubits)
     k = len(qubits)
     probs = _subset_probabilities(state, qubits)
-    if rng is not None:
-        outcome_idx = int(rng.choice(probs.size, p=probs / probs.sum()))
-    elif outcome is None:
-        raise ValueError("either an outcome or an rng must be given")
-    else:
-        outcome_idx = int(outcome, 2) if isinstance(outcome, str) else int(outcome)
+    outcome_idx = int(outcome, 2) if isinstance(outcome, str) else int(outcome)
     p = float(probs[outcome_idx])
     if p < 1e-14:
         raise ValueError(f"projection onto zero-probability outcome {outcome_idx:0{k}b}")
@@ -282,15 +281,17 @@ def superop_of_kraus_like(terms, n: int) -> Superoperator:
     """Superoperator of rho -> sum_i w_i M_i rho M_i^dagger for diagonal M_i.
 
     ``terms`` is an iterable of (weight, diagonal) pairs where each diagonal is
-    a length-2^n complex vector.  Weights may be negative (signed maps).
+    a length-2^n complex vector.  Weights may be negative (signed maps).  The
+    Kronecker product of two diagonal matrices is the diagonal of the
+    Kronecker product of their vectors, so the weighted sum is built as one
+    4^n vector and placed on the diagonal once.
     """
     _check_superop_size(n)
-    d = 2**n
-    total = np.zeros((d * d, d * d), dtype=complex)
+    total = np.zeros(4**n, dtype=complex)
     for weight, diag in terms:
-        m = np.diag(np.asarray(diag, dtype=complex))
-        total += weight * np.kron(m.conj(), m)
-    return Superoperator(total, n)
+        d = np.asarray(diag, dtype=complex)
+        total += weight * np.kron(d.conj(), d)
+    return Superoperator(np.diag(total), n)
 
 
 def superop_of_local_operation(op) -> Superoperator:
@@ -304,19 +305,24 @@ def superop_of_local_operation(op) -> Superoperator:
     return superop_of_kraus_like(op.signed_diagonal_terms(), op.num_qubits)
 
 
-def pair_superop(superop_a: Superoperator, superop_b: Superoperator) -> Superoperator:
-    """Superoperator of the product channel F_A (x) F_B on the joint register.
+def pair_superop(terms) -> Superoperator:
+    """Superoperator of the weighted sum of product channels sum_j a_j F_A,j (x) F_B,j.
 
-    Partition A holds the leading (most significant) qubits.  Because
-    vectorization interleaves row and column indices the result is a
-    transposed reshuffle of the plain Kronecker product.
+    ``terms`` is a list of (a_j, F_A,j, F_B,j) triples whose A sides share one
+    size and whose B sides share another; a single product channel is a
+    one-term list.  Partition A holds the leading (most significant) qubits.
+    Because vectorization interleaves row and column indices each product is
+    a transposed reshuffle of the plain Kronecker product; the whole sum is
+    one einsum over the stacked side matrices.
     """
-    da, db = superop_a.dim, superop_b.dim
-    n = superop_a.num_qubits + superop_b.num_qubits
+    coefficients, supers_a, supers_b = zip(*terms)
+    da, db = supers_a[0].dim, supers_b[0].dim
+    n = supers_a[0].num_qubits + supers_b[0].num_qubits
     _check_superop_size(n)
-    sa = superop_a.matrix.reshape(da, da, da, da)  # (col, row, col', row')
-    sb = superop_b.matrix.reshape(db, db, db, db)
-    t = np.einsum("aceg,bdfh->abcdefgh", sa, sb, optimize=True)
+    # each side stacked as (term, col, row, col', row')
+    sa = np.array([s.matrix for s in supers_a]).reshape(-1, da, da, da, da)
+    sb = np.array([s.matrix for s in supers_b]).reshape(-1, db, db, db, db)
+    t = np.einsum("t,taceg,tbdfh->abcdefgh", np.array(coefficients, dtype=complex), sa, sb)
     d = da * db
     return Superoperator(t.reshape(d * d, d * d), n)
 

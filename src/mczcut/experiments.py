@@ -65,12 +65,21 @@ class ExperimentConfig:
     spec: RandomCircuitSpec = field(default_factory=RandomCircuitSpec)
 
     def __post_init__(self):
-        if self.num_qubits not in (3, 4, 5):
+        for name, low in (("num_qubits", 3), ("k", 1), ("m", 1), ("repetitions", 1),
+                          ("circuits", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.num_qubits > 5:
             raise ValueError("experiments cover 3, 4 or 5 qubits")
         if self.k + self.m != self.num_qubits:
             raise ValueError("cut split must satisfy k + m = num_qubits")
-        if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
         if self.mode not in ("preestimation", "circuit_sampling"):
             raise ValueError(f"unknown mode {self.mode!r}")
         sampler.check_accuracy(self.epsilon, self.delta if self.mode == "circuit_sampling" else None)
@@ -184,10 +193,6 @@ class RunRow:
         return self.cut_estimate - self.exact
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
-
-
 def _prepare_circuits(config: ExperimentConfig):
     """The experiment's fixed circuit set, its decomposition, exact values and
     branch tables (built once per circuit, after certification)."""
@@ -199,7 +204,8 @@ def _prepare_circuits(config: ExperimentConfig):
     prepared = []
     for c in range(config.circuits):
         circuit, state = _random_circuit_and_state(config.num_qubits, config.k, config.m,
-                                                   _rng(config.seed, 100, c), config.spec)
+                                                   sampler._rng_for(config.seed, 100, c),
+                                                   config.spec)
         cut = find_cut(circuit)
         terms = cutter.embed(decomposition, cut)
         values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
@@ -228,7 +234,8 @@ def _run_one(args):
     config, decomposition, observable, prep, rep, c = args
     shots = experiment_shots(config)
     run_seed = int(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, c)).generate_state(1)[0])
-    uncut = sampler.sample_uncut(prep["distribution"], observable.values, shots, _rng(run_seed, 0))
+    uncut = sampler.sample_uncut(prep["distribution"], observable.values, shots,
+                                 sampler._rng_for(run_seed, 0))
     budget = sampler.ShotBudget(shots, config.epsilon, decomposition.kappa, mode=config.mode)
     if config.mode == "preestimation":
         record = sampler.preestimation_mode(prep["terms"], budget, run_seed,

@@ -37,17 +37,12 @@ class ShotBudget:
     epsilon: float
     kappa: float
     delta: float | None = None
-    cuts: int = 1
     mode: str = "preestimation"
 
     @staticmethod
-    def for_circuit_sampling(epsilon: float, delta: float, kappa: float, cuts: int = 1) -> "ShotBudget":
-        n = hoeffding_shots(epsilon, delta, kappa, cuts)
-        return ShotBudget(n, epsilon, kappa, delta, cuts, mode="circuit_sampling")
-
-    @staticmethod
-    def for_preestimation(epsilon: float, kappa: float) -> "ShotBudget":
-        return ShotBudget(preestimation_budget(epsilon, kappa), epsilon, kappa, mode="preestimation")
+    def for_circuit_sampling(epsilon: float, delta: float, kappa: float) -> "ShotBudget":
+        return ShotBudget(hoeffding_shots(epsilon, delta, kappa), epsilon, kappa, delta,
+                          mode="circuit_sampling")
 
 
 def check_accuracy(epsilon: float, delta: float | None = None) -> None:
@@ -62,12 +57,12 @@ def check_accuracy(epsilon: float, delta: float | None = None) -> None:
         raise ValueError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
 
 
-def hoeffding_shots(epsilon: float, delta: float, kappa: float, cuts: int = 1) -> int:
-    """Smallest N with N >= 2 kappa^{2K} / eps^2 * ln(2 / delta)."""
+def hoeffding_shots(epsilon: float, delta: float, kappa: float) -> int:
+    """Smallest N with N >= 2 kappa^2 / eps^2 * ln(2 / delta) (one cut)."""
     check_accuracy(epsilon, delta)
-    if kappa < 1 or cuts < 1:
-        raise ValueError("kappa must be >= 1 and cuts >= 1")
-    bound = 2.0 * (kappa**cuts) ** 2 / epsilon**2 * math.log(2.0 / delta)
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    bound = 2.0 * kappa**2 / epsilon**2 * math.log(2.0 / delta)
     return int(math.ceil(bound))
 
 

@@ -45,6 +45,21 @@ class TestVerifyCommand:
         assert "PASS  dense superoperator cross-check (2,2)" in out
         assert "cross-check (2,3)" not in out
 
+    def test_default_orders_report_every_split(self):
+        stream = io.StringIO()
+        assert cli.cmd_verify(sizes=[2, 3, 4, 5, 6], stream=stream) == 0
+        lines = stream.getvalue().splitlines()
+        assert lines[-1] == "all checks passed"
+        assert all(line.startswith("PASS  ") for line in lines[:-1])
+        splits = [(k, order - k) for order in range(2, 7) for k in range(1, order)]
+        assert len(splits) == 15
+        for k, m in splits:
+            for form in ("decomposition oracle", "double-fusion channel form"):
+                assert sum(line.startswith(f"PASS  {form} ({k},{m}):") for line in lines) == 1
+            dense = sum(line.startswith(f"PASS  dense superoperator cross-check ({k},{m}):") for line in lines)
+            assert dense == (1 if k + m <= 4 else 0)
+        assert sum("dense superoperator cross-check" in line for line in lines) == 6
+
     def test_sizes_above_ceiling_rejected(self, capsys):
         assert cli.main(["verify", "--sizes", "11"]) == 2
         err = capsys.readouterr().err
@@ -249,6 +264,37 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("fields", [{"seed": -1}, {"seed": 1.5}, {"circuits": "2"},
+                                        {"repetitions": 2.0}, {"num_qubits": 3.0}, {"k": 1.0},
+                                        {"k": 0, "m": 3}, {"circuits": 0}, {"circuits": -1},
+                                        {"epsilon": True},
+                                        {"delta": None, "mode": "circuit_sampling"}],
+                             ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()))
+    def test_experiment_config_fields(self, tmp_path, capsys, fields):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and next(iter(fields)) in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "record.json"
+        argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "-1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "--seed" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_negative_seed_env_var(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+        out = tmp_path / "record.json"
+        assert cli.main(["sample", "--config", str(bell_document(tmp_path)), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and cli.SEED_ENV_VAR in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestMainEntry:

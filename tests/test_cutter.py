@@ -217,12 +217,9 @@ class TestVerify:
 
     def test_sum_is_trace_preserving(self):
         d = decompose_mcz(2, 1)
-        total = np.zeros((64, 64), dtype=complex)
-        for t in d.terms:
-            sa = densesim.superop_of_local_operation(t.op_a)
-            sb = densesim.superop_of_local_operation(t.op_b)
-            total += t.coefficient * densesim.pair_superop(sa, sb).matrix
-        assert densesim.Superoperator(total, 3).is_trace_preserving()
+        total = densesim.pair_superop([(t.coefficient, densesim.superop_of_local_operation(t.op_a),
+                                        densesim.superop_of_local_operation(t.op_b)) for t in d.terms])
+        assert total.is_trace_preserving()
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="oracle limited"):

@@ -5,7 +5,7 @@ import pytest
 
 from mczcut import densesim
 from mczcut.circuit import Circuit, Observable, cz, h, mcz, x
-from mczcut.cutter import LocalOperation
+from mczcut.cutter import LocalOperation, decompose_mcz
 from mczcut.densesim import (StateVector, expval, pair_superop, project, run,
                              superop_of_local_operation, superop_of_unitary)
 
@@ -108,12 +108,6 @@ class TestProject:
         with pytest.raises(ValueError, match="zero-probability"):
             project(StateVector.zero(1), [0], 1)
 
-    def test_sampled_outcome(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, 0, 0, INV_SQRT2])
-        post, p = project(state, [0], rng=np.random.default_rng(5))
-        assert p == pytest.approx(0.5)
-        assert abs(abs(post.amplitudes).max() - 1.0) < 1e-12
-
 
 class TestSuperoperators:
     def test_identity(self):
@@ -184,19 +178,54 @@ class TestLocalOperationSuperops:
         s = densesim.superop_of_kraus_like(terms, n)
         assert s.is_trace_preserving()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kraus_like_matches_literal_sum(self, n, rng):
+        # reference: sum_i w_i kron(conj(diag d_i), diag d_i), one dense term at a time
+        def literal(terms):
+            total = np.zeros((4**n, 4**n), dtype=complex)
+            for weight, diag in terms:
+                m = np.diag(diag)
+                total += weight * np.kron(m.conj(), m)
+            return total
+
+        for count in (1, 3, 6):
+            terms = [(float(rng.normal()), rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+                     for _ in range(count)]
+            assert np.array_equal(densesim.superop_of_kraus_like(terms, n).matrix, literal(terms))
+        for op in (LocalOperation.zmix(n), LocalOperation.signed_projector(n), LocalOperation.mcp(n, math.pi / 2)):
+            terms = op.signed_diagonal_terms()
+            assert np.array_equal(superop_of_local_operation(op).matrix, literal(terms))
+
+
+def product_superop(superop_a, superop_b) -> np.ndarray:
+    """Reference for one product channel F_A (x) F_B: reshuffle the two matrices' indices."""
+    da, db = superop_a.dim, superop_b.dim
+    t = np.einsum("aceg,bdfh->abcdefgh", superop_a.matrix.reshape((da,) * 4),
+                  superop_b.matrix.reshape((db,) * 4), optimize=True)
+    return t.reshape((da * db) ** 2, (da * db) ** 2)
+
 
 class TestPairSuperop:
     def test_matches_joint_unitary(self, rng):
         ua, ub = random_unitary(1, rng), random_unitary(2, rng)
-        sp = pair_superop(superop_of_unitary(ua), superop_of_unitary(ub))
+        sp = pair_superop([(1.0, superop_of_unitary(ua), superop_of_unitary(ub))])
         direct = superop_of_unitary(np.kron(ua, ub))
         assert np.max(np.abs(sp.matrix - direct.matrix)) < 1e-12
 
     def test_acts_like_tensor_channel(self, rng):
         ua, ub = random_unitary(1, rng), random_unitary(1, rng)
-        sp = pair_superop(superop_of_unitary(ua), superop_of_unitary(ub))
+        sp = pair_superop([(1.0, superop_of_unitary(ua), superop_of_unitary(ub))])
         rho_a = np.array([[0.75, 0.1j], [-0.1j, 0.25]])
         rho_b = np.array([[0.5, 0.2], [0.2, 0.5]])
         rho = np.kron(rho_a, rho_b)
         expected = np.kron(ua @ rho_a @ ua.conj().T, ub @ rho_b @ ub.conj().T)
         assert np.max(np.abs(sp.apply_to_density(rho) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("k,m", [(k, order - k) for order in (2, 3, 4) for k in range(1, order)])
+    def test_weighted_sum_matches_per_term_loop(self, k, m):
+        terms = [(t.coefficient, superop_of_local_operation(t.op_a), superop_of_local_operation(t.op_b))
+                 for t in decompose_mcz(k, m).terms]
+        reference = np.zeros((4**(k + m), 4**(k + m)), dtype=complex)
+        for a, sa, sb in terms:
+            reference += a * product_superop(sa, sb)
+        assert np.array_equal(pair_superop(terms).matrix, reference)

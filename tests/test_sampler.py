@@ -25,9 +25,6 @@ class TestBudgets:
     def test_hoeffding_kappa_six(self):
         assert hoeffding_shots(0.1, 0.05, 6.0) == 26560
 
-    def test_hoeffding_power_equivalence(self):
-        assert hoeffding_shots(0.1, 0.05, 3.0, cuts=2) == hoeffding_shots(0.1, 0.05, 9.0, cuts=1)
-
     def test_hoeffding_domain(self):
         with pytest.raises(ValueError):
             hoeffding_shots(1.5, 0.05, 2.0)
@@ -54,8 +51,6 @@ class TestBudgets:
     def test_budget_constructors(self):
         b = ShotBudget.for_circuit_sampling(0.1, 0.05, 6.0)
         assert b.total == 26560 and b.mode == "circuit_sampling"
-        b = ShotBudget.for_preestimation(0.01, 6.0)
-        assert b.total == 1_440_000
 
 
 class TestAllocate:
