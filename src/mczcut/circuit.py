@@ -242,10 +242,14 @@ def parse(text: str) -> Circuit:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r} in circuit document")
-    if doc.get("version") != DOCUMENT_VERSION:
+    if not _is_int(doc.get("version")) or doc["version"] != DOCUMENT_VERSION:
         raise ValueError(f"unsupported document version {doc.get('version')!r}")
     if "num_qubits" not in doc or "gates" not in doc:
         raise ValueError("circuit document requires 'num_qubits' and 'gates'")
+    if not _is_int(doc["num_qubits"]):
+        raise ValueError(f"'num_qubits' must be an integer, got {doc['num_qubits']!r}")
+    if not isinstance(doc["gates"], list):
+        raise ValueError("'gates' must be a list")
     gates = []
     for i, entry in enumerate(doc["gates"]):
         if not isinstance(entry, dict):
@@ -256,15 +260,31 @@ def parse(text: str) -> Circuit:
         kind = entry.get("kind")
         if kind not in GATE_KINDS:
             raise ValueError(f"gate {i}: unknown gate kind {kind!r}")
+        qubits = entry.get("qubits")
+        if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
+            raise ValueError(f"gate {i}: 'qubits' must be a list of integers, got {qubits!r}")
+        angle = entry.get("angle")
+        if angle is not None and not (_is_real(angle) and math.isfinite(angle)):
+            raise ValueError(f"gate {i}: angle must be a finite number, got {angle!r}")
         try:
-            gates.append(Gate(kind, tuple(entry["qubits"]), entry.get("angle")))
-        except (KeyError, ValueError) as exc:
+            gates.append(Gate(kind, tuple(qubits), angle))
+        except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from exc
     partition = doc.get("partition")
-    circuit = Circuit(int(doc["num_qubits"]), tuple(gates),
+    if partition is not None and not isinstance(partition, list):
+        raise ValueError(f"'partition' must be a list of labels, got {partition!r}")
+    circuit = Circuit(doc["num_qubits"], tuple(gates),
                       tuple(partition) if partition is not None else None)
     validate(circuit)
     return circuit
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +324,6 @@ class Observable:
     def z_string(n: int) -> "Observable":
         """Parity of the full Z-string Z (x) ... (x) Z."""
         return Observable(n, _parity_values(n), kind="z_string")
-
-    @staticmethod
-    def from_function(n: int, f) -> "Observable":
-        vals = np.array([f(format(i, f"0{n}b")) for i in range(2**n)], dtype=float)
-        return Observable(n, vals)
 
     def __call__(self, bits: str) -> float:
         return float(self.values[int(bits, 2)])

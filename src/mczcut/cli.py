@@ -10,12 +10,14 @@ Subcommands:
 
 Exit code 0 means every requested check passed; exit code 2 with a one-line
 message means the input was rejected (a missing or malformed config, an
-experiment config field of the wrong type or range, a circuit without
-exactly one cross-partition MCZ, an epsilon or delta no budget meets, an
-out-of-range order or cut, a seed that is not a non-negative integer, or a
-cut whose decomposition cannot be certified).  Identical invocations with
-identical seeds produce byte-identical output files.  The MCZCUT_SEED
-environment variable supplies a default seed when --seed is absent.
+experiment config field of the wrong type or range, a circuit document field
+of the wrong type, a non-finite angle, a circuit wider than the statevector
+simulator, a circuit without exactly one cross-partition MCZ, an epsilon or
+delta no budget meets, an out-of-range order or cut, a seed that is not a
+non-negative integer, or a cut whose decomposition cannot be certified).
+Identical invocations with identical seeds produce byte-identical output
+files.  The MCZCUT_SEED environment variable supplies a default seed when
+--seed is absent.
 """
 
 from __future__ import annotations
@@ -174,6 +176,9 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
         circuit = parse(Path(config_path).read_text())
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot read circuit document {config_path}: {exc}") from None
+    if circuit.num_qubits > densesim.MAX_STATE_QUBITS:
+        raise InputError(f"circuit document {config_path} has {circuit.num_qubits} qubits; "
+                         f"the simulator runs at most {densesim.MAX_STATE_QUBITS}")
     try:
         cut = find_cut(circuit)
     except ValueError as exc:

@@ -126,17 +126,13 @@ class LocalOperation:
         if self.is_unitary:
             return [(1.0, self.diagonal())]
         if self.variant == "zmix":
-            return [(1.0 / 2**n, densesim.zlayer_diagonal(n, mask)) for mask in range(2**n)]
+            return [(1.0 / 2**n, d) for d in densesim.zlayer_diagonals(n, range(2**n))]
         if self.variant == "zmix_rest":
             w = 1.0 / (2**n - 1)
-            return [(w, densesim.zlayer_diagonal(n, mask)) for mask in range(1, 2**n)]
+            return [(w, d) for d in densesim.zlayer_diagonals(n, range(1, 2**n))]
         if self.variant == "signed_projector":
-            out = []
-            for l in range(2**n):
-                d = np.zeros(2**n, dtype=complex)
-                d[l] = 1.0
-                out.append((-1.0 if l == 2**n - 1 else 1.0, d))
-            return out
+            signs = [1.0] * (2**n - 1) + [-1.0]
+            return list(zip(signs, np.eye(2**n, dtype=complex)))
         d = np.zeros(2**n, dtype=complex)
         d[-1] = 1.0
         return [(1.0, d)]
@@ -247,9 +243,6 @@ class ChoiBlockDecomposition:
         for c, va, vb in self.terms:
             total += c * np.kron(va.outer(), vb.outer())
         return total
-
-    def coefficient_norm(self) -> float:
-        return sum(abs(c) for c, _, _ in self.terms)
 
 
 def decompose_choi_block() -> ChoiBlockDecomposition:
@@ -425,8 +418,8 @@ def _dense_oracle_residual(decomposition: Decomposition) -> float:
                 for t in decomposition.terms for op in (t.op_a, t.op_b)}
     total = densesim.pair_superop([(t.coefficient, superops[t.op_a], superops[t.op_b])
                                    for t in decomposition.terms]).matrix
-    target = densesim.superop_of_unitary(densesim.mcz_unitary(decomposition.order)).matrix
-    return float(np.linalg.norm(total - target))
+    total -= densesim.superop_of_unitary(densesim.mcz_unitary(decomposition.order)).matrix
+    return float(np.linalg.norm(total))
 
 
 def verify(decomposition: Decomposition, tolerance: float = 1e-10) -> VerificationReport:
@@ -447,10 +440,17 @@ def verify(decomposition: Decomposition, tolerance: float = 1e-10) -> Verificati
     multipliers = {op: channel_multiplier(op)
                    for t in decomposition.terms for op in (t.op_a, t.op_b)}
     total = np.zeros_like(target)
+    # total[(r_a, r_b), (c_a, c_b)] as a 4-axis view, so each Kronecker
+    # product is one broadcast multiplication, the one np.kron makes
+    total_view = total.reshape(2**k, 2**m, 2**k, 2**m)
     for t in decomposition.terms:
-        total += t.coefficient * np.kron(multipliers[t.op_a], multipliers[t.op_b])
-    residual = float(np.linalg.norm(total - target))
-    hbox_residual = float(np.linalg.norm(_mcz_channel_from_hbox_form(k, m) - target))
+        total_view += t.coefficient * (multipliers[t.op_a][:, None, :, None]
+                                       * multipliers[t.op_b][None, :, None, :])
+    total -= target
+    residual = float(np.linalg.norm(total))
+    hbox_form = _mcz_channel_from_hbox_form(k, m)
+    hbox_form -= target
+    hbox_residual = float(np.linalg.norm(hbox_form))
     dense_residual = _dense_oracle_residual(decomposition) if k + m <= DENSE_CHECK_MAX_ORDER else None
     report = VerificationReport(residual, hbox_residual, tolerance, dense_residual)
     decomposition.verified = report.passed
@@ -469,8 +469,13 @@ def rewrite_projector(n: int, tolerance: float = 1e-12) -> float:
     proj, zm, sp = (channel_multiplier(op) for op in ops)
     residual = float(np.max(np.abs(2.0 * proj - (zm - sp))))
     if n <= DENSE_CHECK_MAX_ORDER:
-        proj, zm, sp = (densesim.superop_of_local_operation(op).matrix for op in ops)
-        residual = max(residual, float(np.max(np.abs(2.0 * proj - (zm - sp)))))
+        # in place, holding at most two dense matrices at a time
+        difference = densesim.superop_of_local_operation(ops[1]).matrix
+        difference -= densesim.superop_of_local_operation(ops[2]).matrix
+        doubled = densesim.superop_of_local_operation(ops[0]).matrix
+        doubled *= 2.0
+        doubled -= difference
+        residual = max(residual, float(np.max(np.abs(doubled))))
     if residual >= tolerance:
         raise AssertionError(f"projector rewrite residual {residual:.3e} exceeds {tolerance}")
     return residual
@@ -572,9 +577,8 @@ def side_branches(plan: SubcircuitPlan) -> list[Branch]:
     elif op.variant in ("zmix", "zmix_rest"):
         masks = range(2**op.num_qubits) if op.variant == "zmix" else range(1, 2**op.num_qubits)
         weight = 1.0 / len(masks)
-        for mask in masks:
-            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits,
-                                            densesim.zlayer_diagonal(op.num_qubits, mask))
+        for diagonal in densesim.zlayer_diagonals(op.num_qubits, masks):
+            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
             branches.append(Branch(weight, 1.0, finish(state)))
     elif op.variant in ("signed_projector", "projector"):
         for outcome in range(2**op.num_qubits):

@@ -4,11 +4,15 @@ Serves as the execution backend for sampling.  Its dense superoperators are
 the brute-force oracle that cross-checks decomposition certification at small
 orders (cutter certifies with diagonal channel multipliers instead):
 
-* a diagonal-Kraus map's superoperator is itself diagonal, so it is summed as
-  one 4^n vector of Kronecker products of the Kraus diagonals and placed on
-  the diagonal once;
+* a diagonal-Kraus map's superoperator is itself diagonal, so every term's
+  Kronecker product of Kraus diagonals is formed at once, the terms are
+  summed in order as 4^n vectors and the sum is placed on the diagonal once;
 * a decomposition's weighted sum of product channels sum_j a_j F_A,j (x) F_B,j
-  is one einsum over the stacked side superoperators (``pair_superop``).
+  is one matrix product of the stacked, flattened side superoperators,
+  followed by one transpose into the interleaved index order
+  (``pair_superop``).
+
+Both give the same bits as the literal per-term loops.
 
 Full matrices are built only inside the superoperator routines; gates act on
 the amplitude array viewed as an n-axis tensor of 2s:
@@ -283,15 +287,17 @@ def superop_of_kraus_like(terms, n: int) -> Superoperator:
     ``terms`` is an iterable of (weight, diagonal) pairs where each diagonal is
     a length-2^n complex vector.  Weights may be negative (signed maps).  The
     Kronecker product of two diagonal matrices is the diagonal of the
-    Kronecker product of their vectors, so the weighted sum is built as one
-    4^n vector and placed on the diagonal once.
+    Kronecker product of their vectors, so every weighted product is formed
+    at once as a row of 4^n entries, the rows are summed in term order (the
+    order of a literal loop, so the bits are the same) and the sum is placed
+    on the diagonal once.
     """
     _check_superop_size(n)
-    total = np.zeros(4**n, dtype=complex)
-    for weight, diag in terms:
-        d = np.asarray(diag, dtype=complex)
-        total += weight * np.kron(d.conj(), d)
-    return Superoperator(np.diag(total), n)
+    weights, diagonals = zip(*terms)
+    d = np.array(diagonals, dtype=complex)
+    products = d.conj()[:, :, None] * d[:, None, :]
+    products *= np.array(weights)[:, None, None]
+    return Superoperator(np.diag(np.add.reduce(products.reshape(len(d), -1), axis=0)), n)
 
 
 def superop_of_local_operation(op) -> Superoperator:
@@ -312,19 +318,26 @@ def pair_superop(terms) -> Superoperator:
     size and whose B sides share another; a single product channel is a
     one-term list.  Partition A holds the leading (most significant) qubits.
     Because vectorization interleaves row and column indices each product is
-    a transposed reshuffle of the plain Kronecker product; the whole sum is
-    one einsum over the stacked side matrices.
+    a transposed reshuffle of the plain Kronecker product.  The whole sum is
+    one matrix product of the weighted, flattened A sides with the flattened
+    B sides, followed by one transpose into the interleaved index order.
     """
     coefficients, supers_a, supers_b = zip(*terms)
     da, db = supers_a[0].dim, supers_b[0].dim
     n = supers_a[0].num_qubits + supers_b[0].num_qubits
     _check_superop_size(n)
-    # each side stacked as (term, col, row, col', row')
-    sa = np.array([s.matrix for s in supers_a]).reshape(-1, da, da, da, da)
-    sb = np.array([s.matrix for s in supers_b]).reshape(-1, db, db, db, db)
-    t = np.einsum("t,taceg,tbdfh->abcdefgh", np.array(coefficients, dtype=complex), sa, sb)
+    weights = np.array(coefficients, dtype=complex)[:, None]
+    # one expression, so each stacked side is freed as soon as it is used
+    product = (_flattened(supers_a) * weights).T @ _flattened(supers_b)
+    # (col, row, col', row') of A, then of B -> interleaved
+    t = product.reshape((da,) * 4 + (db,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7)
     d = da * db
     return Superoperator(t.reshape(d * d, d * d), n)
+
+
+def _flattened(supers) -> np.ndarray:
+    """The superoperator matrices stacked as rows, one per term."""
+    return np.array([s.matrix for s in supers]).reshape(len(supers), -1)
 
 
 def mcp_diagonal(n: int, theta: float) -> np.ndarray:
@@ -339,12 +352,25 @@ def mcz_unitary(n: int) -> np.ndarray:
     return np.diag(d).astype(complex)
 
 
+def zlayer_diagonals(n: int, masks) -> np.ndarray:
+    """Diagonals of the Z-layers picked by bitmasks over local qubits, one row per mask.
+
+    Bit q of a mask selects Z on qubit q, which is bit n-1-q of a basis index,
+    so entry s of a row is -1 where s has an odd number of selected bits.  The
+    parity folds the bits with shifts and exclusive ors (np.bitwise_count
+    needs numpy 2).  Odd entries are -1 - 0j, the bits an odd number of
+    negations of 1 + 0j gives.
+    """
+    selected = np.array([int(format(mask, f"0{n}b")[::-1], 2) for mask in masks], dtype=np.int64)
+    x = selected[:, None] & np.arange(2**n, dtype=np.int64)
+    shift = 1
+    while shift < n:
+        x ^= x >> shift
+        shift *= 2
+    d = np.ones(x.shape, dtype=complex)
+    return np.negative(d, out=d, where=(x & 1).astype(bool))
+
+
 def zlayer_diagonal(n: int, mask: int) -> np.ndarray:
     """Diagonal of the Z-layer picked by a bitmask over local qubits (bit 0 = qubit 0 = MSB)."""
-    d = np.ones(2**n, dtype=complex)
-    for q in range(n):
-        if (mask >> q) & 1:
-            bit = 1 << (n - 1 - q)
-            idx = np.arange(2**n)
-            d = np.where(idx & bit, -d, d)
-    return d
+    return zlayer_diagonals(n, [mask])[0]

@@ -8,11 +8,14 @@ coupling block (the unnormalized Choi operator of a Hadamard gate).
 
 Each identity is one fixed contraction of a few small tensors, written out
 as a matrix product or a single einsum; there is no wire-graph engine and no
-rewrite engine.  Wires carry qubit dimension 2.  All functions are pure.
+rewrite engine.  The copy-spider einsum's operands and contraction path
+depend only on the qubit count, so they are planned once per count.  Wires
+carry qubit dimension 2.  All functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +104,27 @@ def hbox_vector(n: int) -> np.ndarray:
     return _hbox(n).reshape(-1)
 
 
+@functools.cache
+def _copy_spider_plan(n: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Copy-spider operands, vector legs, output legs and contraction path for n qubits.
+
+    Qubit q's spider has legs (in q, out n+q, copy 2n+q); the vector carries
+    the copy legs.  The path is the greedy one ``np.einsum(..., optimize=True)``
+    would search for on every call.  Cached, and read-only since every caller
+    shares it: n <= 8 bounds the cache at 8 entries.
+    """
+    spider = tensor_of(Node("Z", 1, 2))  # legs (in, out, copy)
+    spider.flags.writeable = False
+    spiders = ()
+    for q in range(n):
+        spiders += (spider, (q, n + q, 2 * n + q))
+    vector_legs = tuple(range(2 * n, 3 * n))
+    output = tuple(range(n, 2 * n)) + tuple(range(n))
+    path, _ = np.einsum_path(*spiders, np.ones((2,) * n, dtype=complex), vector_legs, output,
+                             optimize="greedy")
+    return spiders, vector_legs, output, tuple(path)
+
+
 def diagonal_from_vector(v: np.ndarray) -> np.ndarray:
     """Contract copy spiders with a 2^n-entry vector, yielding diag(v).
 
@@ -113,13 +137,8 @@ def diagonal_from_vector(v: np.ndarray) -> np.ndarray:
         raise ValueError("vector length must be a power of two")
     if n > 8:
         raise ValueError("diagonal construction limited to 8 qubits")
-    spider = tensor_of(Node("Z", 1, 2))  # legs (in, out, copy)
-    # qubit q's spider has legs (in q, out n+q, copy 2n+q); v carries the copy legs
-    operands = []
-    for q in range(n):
-        operands += [spider, [q, n + q, 2 * n + q]]
-    operands += [v.reshape((2,) * n), list(range(2 * n, 3 * n))]
-    tensor = np.einsum(*operands, list(range(n, 2 * n)) + list(range(n)), optimize=True)
+    spiders, vector_legs, output, path = _copy_spider_plan(n)
+    tensor = np.einsum(*spiders, v.reshape((2,) * n), vector_legs, output, optimize=path)
     return tensor.reshape(2**n, 2**n)
 
 
@@ -159,6 +178,13 @@ def check_contraction_identities(n: int, theta: float) -> float:
     return max(err_phase, err_minus)
 
 
+def _max_error_from_diagonal(matrix: np.ndarray, target: np.ndarray) -> float:
+    """Max |matrix - diag(target)|; the target is subtracted in place from matrix's diagonal."""
+    idx = np.arange(matrix.shape[0])
+    matrix[idx, idx] -= target
+    return float(np.max(np.abs(matrix)))
+
+
 def _diagonal_error(v: np.ndarray, target: np.ndarray) -> float:
     """Max |diag(v) - diag(target)|, with diag(v) built by copy spiders up to 6 qubits.
 
@@ -166,7 +192,7 @@ def _diagonal_error(v: np.ndarray, target: np.ndarray) -> float:
     agree exactly, so the entries are compared as vectors.
     """
     if v.size <= 2**6:
-        return float(np.max(np.abs(diagonal_from_vector(v) - np.diag(target))))
+        return _max_error_from_diagonal(diagonal_from_vector(v), target)
     return float(np.max(np.abs(v - target)))
 
 
@@ -175,7 +201,7 @@ def check_diag_lemma(v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if v.size > 2**6:
         raise ValueError("diagonal lemma check limited to 6 qubits")
-    return float(np.max(np.abs(diagonal_from_vector(v) - np.diag(v))))
+    return _max_error_from_diagonal(diagonal_from_vector(v), v)
 
 
 def check_mcz_representation(n: int) -> float:
@@ -185,8 +211,9 @@ def check_mcz_representation(n: int) -> float:
     """
     if n > 8:
         raise ValueError("representation check limited to 8 qubits")
-    target = np.diag(np.concatenate([np.ones(2**n - 1), [-1.0]])).astype(complex)
-    return float(np.max(np.abs(diagonal_from_vector(hbox_vector(n)) - target)))
+    target = np.ones(2**n)
+    target[-1] = -1.0
+    return _max_error_from_diagonal(diagonal_from_vector(hbox_vector(n)), target)
 
 
 def choi_block_matrix() -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -161,6 +162,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed"):
             parse("not json at all {")
 
+    @pytest.mark.parametrize("fields,gate,message", [
+        ({"version": True}, {}, "version"),
+        ({"version": 1.0}, {}, "version"),
+        ({"num_qubits": True}, {}, "num_qubits"),
+        ({"num_qubits": 1.0}, {}, "num_qubits"),
+        ({"gates": {}}, None, "gates"),
+        ({"partition": "A"}, {}, "partition"),
+        ({}, {"qubits": [0.0]}, "qubits"),
+        ({}, {"qubits": [True]}, "qubits"),
+        ({}, {"qubits": None}, "qubits"),
+        ({}, {"kind": "RX", "angle": "0.5"}, "angle"),
+        ({}, {"kind": "RX", "angle": True}, "angle"),
+        ({}, {"kind": "RX", "angle": float("-inf")}, "angle"),
+    ])
+    def test_field_types_rejected(self, fields, gate, message):
+        doc = {"version": 1, "num_qubits": 1, "gates": [], **fields}
+        if gate is not None:
+            doc["gates"] = [{"kind": "H", "qubits": [0], **gate}]
+        with pytest.raises(ValueError, match=message):
+            parse(json.dumps(doc))
+
 
 class TestObservable:
     def test_z_string_parity(self):
@@ -184,6 +206,6 @@ class TestObservable:
             assert obs(bits) == fa(sa) * fb(sb)
 
     def test_custom_does_not_autofactor(self):
-        obs = Observable.from_function(2, lambda s: 0.5 if s == "01" else 0.0)
+        obs = Observable(2, np.array([0.0, 0.5, 0.0, 0.0]))
         with pytest.raises(ValueError, match="factoriz"):
             obs.factor((0,), (1,))

@@ -38,6 +38,15 @@ class TestVerifyCommand:
         assert "(1,2)" not in out  # only CZ checks executed
         assert "all checks passed" in out
 
+    def test_default_output_golden_digest(self):
+        # Digest of the stdout of `mczcut verify` at the default sizes before
+        # the certification kernels were batched; it pins every printed
+        # residual digit (computed with numpy 2 on OpenBLAS).
+        stream = io.StringIO()
+        assert cli.cmd_verify(stream=stream) == 0
+        digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+        assert digest == "5d187e26c2f5c088b391dce60d0990cbe8391c611ebe63e69df8b702ade41168"
+
     def test_dense_cross_check_reported_at_small_orders(self):
         stream = io.StringIO()
         assert cli.cmd_verify(sizes=[4, 5], stream=stream) == 0
@@ -279,6 +288,33 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and next(iter(fields)) in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case,field", [
+        ("nan-angle", "angle"), ("infinite-angle", "angle"), ("fractional-num-qubits", "num_qubits"),
+        ("string-partition", "partition"), ("string-qubits", "qubits"), ("wider-than-simulator", "21 qubits"),
+    ])
+    def test_circuit_document_fields(self, tmp_path, capsys, case, field):
+        doc = json.loads(bell_document(tmp_path).read_text())
+        if case == "nan-angle":
+            doc["gates"].insert(0, {"kind": "RY", "qubits": [0], "angle": float("nan")})
+        elif case == "infinite-angle":
+            doc["gates"].insert(0, {"kind": "RY", "qubits": [0], "angle": float("inf")})
+        elif case == "fractional-num-qubits":
+            doc["num_qubits"] = 2.9
+        elif case == "string-partition":
+            doc["partition"] = "AB"
+        elif case == "string-qubits":
+            doc["gates"][0]["qubits"] = "0"
+        else:
+            doc["num_qubits"] = 21
+            doc["partition"] = ["A"] + ["B"] * 20
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as json.loads reads them
+        out = tmp_path / "record.json"
+        assert cli.main(["sample", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and field in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         out = tmp_path / "record.json"

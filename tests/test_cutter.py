@@ -59,7 +59,7 @@ class TestChoiBlockDecomposition:
 
     def test_coefficient_norm(self):
         block = decompose_choi_block()
-        assert block.coefficient_norm() == 4.0
+        assert sum(abs(c) for c, _, _ in block.terms) == 4.0
         # channel-level 1-norm before any merging: each phase-pair term scales
         # by 1/4*2*2 and each mixed term by 1/4*2*4, totalling kappa_raw = 6
         raw = sum(abs(0.25 * c * (2 if va.kind == "phase" else 4) * (2 if vb.kind == "phase" else 4))

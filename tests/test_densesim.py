@@ -149,6 +149,22 @@ class TestSuperoperators:
             superop_of_unitary(np.eye(2**7))
 
 
+class TestZLayers:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_per_qubit_negation(self, n):
+        # reference: negate the entries whose qubit-q bit is set, one qubit at a time
+        idx = np.arange(2**n)
+        rows = densesim.zlayer_diagonals(n, range(2**n))
+        for mask in range(2**n):
+            reference = np.ones(2**n, dtype=complex)
+            for q in range(n):
+                if (mask >> q) & 1:
+                    reference = np.where(idx & (1 << (n - 1 - q)), -reference, reference)
+            for d in (densesim.zlayer_diagonal(n, mask), rows[mask]):
+                assert np.array_equal(d, reference)
+                assert np.array_equal(np.signbit(d.imag), np.signbit(reference.imag))
+
+
 class TestLocalOperationSuperops:
     def test_zmix_is_full_dephasing(self):
         s = superop_of_local_operation(LocalOperation.zmix(1))

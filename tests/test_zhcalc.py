@@ -77,6 +77,19 @@ class TestContract:
         with pytest.raises(ValueError, match="limited to 8 qubits"):
             diagonal_from_vector(np.ones(2**9))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_planned_path_matches_per_call_search(self, n, rng):
+        # reference: the same copy-spider network, its path searched on every call
+        spider = tensor_of(Node("Z", 1, 2))
+        for _ in range(3):
+            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            operands = []
+            for q in range(n):
+                operands += [spider, [q, n + q, 2 * n + q]]
+            operands += [v.reshape((2,) * n), list(range(2 * n, 3 * n))]
+            reference = np.einsum(*operands, list(range(n, 2 * n)) + list(range(n)), optimize=True)
+            assert np.array_equal(diagonal_from_vector(v), reference.reshape(2**n, 2**n))
+
 
 class TestFusionRule:
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (0, 1), (2, 0), (5, 5)])
