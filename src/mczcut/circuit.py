@@ -70,14 +70,6 @@ def rx(q: int, angle: float) -> Gate:
     return Gate("RX", (q,), angle)
 
 
-def ry(q: int, angle: float) -> Gate:
-    return Gate("RY", (q,), angle)
-
-
-def rz(q: int, angle: float) -> Gate:
-    return Gate("RZ", (q,), angle)
-
-
 def x(q: int) -> Gate:
     return Gate("X", (q,))
 
@@ -88,10 +80,6 @@ def h(q: int) -> Gate:
 
 def s(q: int) -> Gate:
     return Gate("S", (q,))
-
-
-def sdg(q: int) -> Gate:
-    return Gate("SDG", (q,))
 
 
 def z(q: int) -> Gate:
@@ -324,9 +312,6 @@ class Observable:
     def z_string(n: int) -> "Observable":
         """Parity of the full Z-string Z (x) ... (x) Z."""
         return Observable(n, _parity_values(n), kind="z_string")
-
-    def __call__(self, bits: str) -> float:
-        return float(self.values[int(bits, 2)])
 
     def factor(self, qubits_a: tuple[int, ...], qubits_b: tuple[int, ...]):
         """Split into per-partition observables with f(s) = f_A(s_A) * f_B(s_B).

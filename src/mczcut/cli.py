@@ -82,12 +82,8 @@ def _identity_checks():
     return checks
 
 
-def cmd_verify(sizes=None, corrupt: bool = False, stream=None) -> int:
-    """Run every identity check and decomposition oracle; return a process exit code.
-
-    ``corrupt`` is a test hook that flips one coefficient per decomposition
-    before verification, which must make the oracle fail.
-    """
+def cmd_verify(sizes=None, stream=None) -> int:
+    """Run every identity check and decomposition oracle; return a process exit code."""
     stream = stream if stream is not None else sys.stdout
     failures = 0
 
@@ -112,11 +108,7 @@ def cmd_verify(sizes=None, corrupt: bool = False, stream=None) -> int:
     for order in orders:
         for k in range(1, order):
             m = order - k
-            d = cutter.decompose_mcz(k, m)
-            if corrupt:
-                t = d.terms[0]
-                d.terms[0] = cutter.DecompositionTerm(-t.coefficient, t.op_a, t.op_b)
-            result = cutter.verify(d)
+            result = cutter.verify(cutter.decompose_mcz(k, m))
             report(f"decomposition oracle ({k},{m})", result.residual, result.tolerance)
             report(f"double-fusion channel form ({k},{m})", result.hbox_form_residual, result.tolerance)
             if result.dense_residual is not None:

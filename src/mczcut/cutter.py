@@ -22,6 +22,9 @@ i.e. the entrywise product Lambda o rho with Lambda = sum_i w_i d_i d_i^H, so a
 decomposition is certified by comparing sum_j a_j Lambda_A,j (x) Lambda_B,j with
 u u^H of the MCZ diagonal u, up to order 10.  At orders up to 4 the dense
 superoperator oracle in densesim cross-checks every certificate independently.
+Certification and sampling read the same expansion (w_i, d_i) of
+``LocalOperation.signed_diagonal_terms``: ``side_branches`` runs each of its
+terms as one execution branch, so the sampled maps are the certified ones.
 """
 
 from __future__ import annotations
@@ -38,23 +41,28 @@ THETA_SET = (-math.pi / 2, 0.0, math.pi / 2, math.pi)
 COEFF_TOL = 1e-14
 ANGLE_TOL = 1e-12
 
-# LocalOperation variants.  "mcp" and "zlayer" are the diagonal-phase unitary
-# family; "zmix" is the uniform mixture of all 2^n Z-layers, "zmix_rest" the
-# uniform mixture of the 2^n - 1 non-identity ones.
-UNITARY_VARIANTS = ("mcp", "zlayer")
-VARIANTS = UNITARY_VARIANTS + ("zmix", "zmix_rest", "signed_projector", "projector")
+# LocalOperation variants.  "mcp" and "zlayer" are diagonal-phase unitaries;
+# "zmix" is the uniform mixture of all 2^n Z-layers, "zmix_rest" the uniform
+# mixture of the 2^n - 1 non-identity ones; the projective variants sum signed
+# computational-basis projections.
+PROJECTIVE_VARIANTS = ("signed_projector", "projector")
+VARIANTS = ("mcp", "zlayer", "zmix", "zmix_rest") + PROJECTIVE_VARIANTS
 
 
 @dataclass(frozen=True)
 class LocalOperation:
     """One local map of a decomposition term on a single partition.
 
-    The unitary variants are diagonal phase gates: ``mcp`` applies
-    diag(1,...,1,e^{i theta}) over all ``num_qubits`` qubits, ``zlayer``
-    applies Z on the qubits selected by ``mask`` (mask 0 is the identity).
-    The mixture variants average Z-layer channels; ``signed_projector`` is
-    sum_l xi_l P_l . P_l with xi = -1 only at the all-ones outcome, and
-    ``projector`` keeps only the all-ones term.
+    ``mcp`` applies diag(1,...,1,e^{i theta}) over all ``num_qubits`` qubits,
+    ``zlayer`` applies Z on the qubits selected by ``mask`` (mask 0 is the
+    identity).  The mixture variants average Z-layer channels;
+    ``signed_projector`` is sum_l xi_l P_l . P_l with xi = -1 only at the
+    all-ones outcome, and ``projector`` the same sum with xi = 1 at the
+    all-ones outcome and 0 elsewhere.
+
+    ``signed_diagonal_terms`` is the only definition of what an operation
+    does: certification builds its channel multiplier from that expansion,
+    and sampling runs each of its terms as one branch.
     """
 
     variant: str
@@ -108,43 +116,29 @@ class LocalOperation:
         return LocalOperation("projector", n)
 
     # -- semantics -----------------------------------------------------------
-    @property
-    def is_unitary(self) -> bool:
-        return self.variant in UNITARY_VARIANTS
-
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of the unitary variants (unit-modulus entries)."""
-        if self.variant == "mcp":
-            return densesim.mcp_diagonal(self.num_qubits, self.theta)
-        if self.variant == "zlayer":
-            return densesim.zlayer_diagonal(self.num_qubits, self.mask)
-        raise ValueError(f"{self.variant} operation has no single diagonal")
-
     def signed_diagonal_terms(self) -> list[tuple[float, np.ndarray]]:
-        """Expand into weighted conjugation terms (weight, diagonal of M)."""
+        """Expand into weighted conjugation terms (weight w, diagonal d of M).
+
+        For ``mcp``, ``zlayer`` and the Z-mixtures each d is a unit-modulus
+        phase diagonal and w its probability.  For the projective variants
+        term l is the basis projector onto outcome l, in index order, and w
+        is that outcome's sign xi_l.
+        """
         n = self.num_qubits
-        if self.is_unitary:
-            return [(1.0, self.diagonal())]
+        if self.variant == "mcp":
+            return [(1.0, densesim.mcp_diagonal(n, self.theta))]
+        if self.variant == "zlayer":
+            return [(1.0, densesim.zlayer_diagonal(n, self.mask))]
         if self.variant == "zmix":
             return [(1.0 / 2**n, d) for d in densesim.zlayer_diagonals(n, range(2**n))]
         if self.variant == "zmix_rest":
             w = 1.0 / (2**n - 1)
             return [(w, d) for d in densesim.zlayer_diagonals(n, range(1, 2**n))]
         if self.variant == "signed_projector":
-            signs = [1.0] * (2**n - 1) + [-1.0]
-            return list(zip(signs, np.eye(2**n, dtype=complex)))
-        d = np.zeros(2**n, dtype=complex)
-        d[-1] = 1.0
-        return [(1.0, d)]
-
-    def xi(self, outcome: int) -> float:
-        """Sign carried by a mid-circuit measurement outcome (projective variants)."""
-        all_ones = 2**self.num_qubits - 1
-        if self.variant == "signed_projector":
-            return -1.0 if outcome == all_ones else 1.0
-        if self.variant == "projector":
-            return 1.0 if outcome == all_ones else 0.0
-        raise ValueError(f"{self.variant} operation has no measurement signs")
+            xi = [1.0] * (2**n - 1) + [-1.0]
+        else:
+            xi = [0.0] * (2**n - 1) + [1.0]
+        return list(zip(xi, np.eye(2**n, dtype=complex)))
 
     def sort_key(self):
         return (VARIANTS.index(self.variant), self.num_qubits,
@@ -311,33 +305,28 @@ def _merge_terms(terms: list[DecompositionTerm]) -> list[DecompositionTerm]:
     return out
 
 
-def decompose_mcz(k: int, m: int, merged: bool = True) -> Decomposition:
-    """Decompose the order-(k+m) MCZ channel across a cut with k A-side qubits.
-
-    With ``merged=False`` the raw twelve-term list is returned (projectors
-    rewritten but mixtures unexpanded); its structure is identical for every
-    cut position and order.
-    """
-    if k < 1 or m < 1:
-        raise ValueError("both sides of the cut need at least one qubit")
-    block = decompose_choi_block()
-    raw: list[DecompositionTerm] = []
-    for c, va, vb in block.terms:
+def _rewritten_terms(k: int, m: int) -> list[DecompositionTerm]:
+    """The raw twelve-term list: every block term contracted with the H-boxes
+    and its projectors rewritten, mixtures unexpanded and nothing merged.
+    Its structure is identical for every cut position and order."""
+    rewritten: list[DecompositionTerm] = []
+    for c, va, vb in decompose_choi_block().terms:
         op_a, scale_a = _side_operation(va, k)
         op_b, scale_b = _side_operation(vb, m)
-        raw.append(DecompositionTerm(0.25 * c * scale_a * scale_b, op_a, op_b))
+        coefficient = 0.25 * c * scale_a * scale_b
+        for fa, oa in _rewrite_projector_op(op_a):
+            for fb, ob in _rewrite_projector_op(op_b):
+                rewritten.append(DecompositionTerm(coefficient * fa * fb, oa, ob))
+    return rewritten
 
-    rewritten: list[DecompositionTerm] = []
-    for t in raw:
-        for fa, oa in _rewrite_projector_op(t.op_a):
-            for fb, ob in _rewrite_projector_op(t.op_b):
-                rewritten.append(DecompositionTerm(t.coefficient * fa * fb, oa, ob))
-    if not merged:
-        return Decomposition(_merge_terms(rewritten), k, m)
 
+def decompose_mcz(k: int, m: int) -> Decomposition:
+    """Decompose the order-(k+m) MCZ channel across a cut with k A-side qubits."""
+    if k < 1 or m < 1:
+        raise ValueError("both sides of the cut need at least one qubit")
     extract = min(k, m) >= 3
     expanded: list[DecompositionTerm] = []
-    for t in rewritten:
+    for t in _rewritten_terms(k, m):
         for fa, oa in _expand_zmix(t.op_a, k <= 2, extract):
             for fb, ob in _expand_zmix(t.op_b, m <= 2, extract):
                 expanded.append(DecompositionTerm(t.coefficient * fa * fb, oa, ob))
@@ -552,8 +541,9 @@ class Branch:
     """One execution branch of a subcircuit plan.
 
     ``prob`` is the branch selection probability (mixture weight or Born
-    probability of a measurement outcome), ``sign`` the xi bookkeeping factor,
-    and ``distribution`` the final bitstring distribution given the branch.
+    probability of a measurement outcome), ``sign`` the outcome's xi (1 for
+    a phase-diagonal branch), and ``distribution`` the final bitstring
+    distribution given the branch.
     """
 
     prob: float
@@ -562,33 +552,29 @@ class Branch:
 
 
 def side_branches(plan: SubcircuitPlan) -> list[Branch]:
-    """Enumerate the execution branches of one subcircuit plan exactly."""
+    """Enumerate the execution branches of one subcircuit plan exactly.
+
+    Each term (w, d) of the operation's signed-diagonal expansion, the one
+    certification reads, is one branch.  A phase diagonal d is applied with
+    probability w and sign 1; a projective term l measures outcome l with its
+    Born probability and carries sign w (zero-probability outcomes are
+    skipped).
+    """
     pre_state = densesim.run(Circuit(plan.num_qubits, plan.pre_gates))
     post = Circuit(plan.num_qubits, plan.post_gates)
-    op = plan.op
-
-    def finish(state: densesim.StateVector) -> np.ndarray:
-        return densesim.run(post, state).probabilities()
-
+    projective = plan.op.variant in PROJECTIVE_VARIANTS
     branches: list[Branch] = []
-    if op.is_unitary:
-        state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, op.diagonal())
-        branches.append(Branch(1.0, 1.0, finish(state)))
-    elif op.variant in ("zmix", "zmix_rest"):
-        masks = range(2**op.num_qubits) if op.variant == "zmix" else range(1, 2**op.num_qubits)
-        weight = 1.0 / len(masks)
-        for diagonal in densesim.zlayer_diagonals(op.num_qubits, masks):
-            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
-            branches.append(Branch(weight, 1.0, finish(state)))
-    elif op.variant in ("signed_projector", "projector"):
-        for outcome in range(2**op.num_qubits):
+    for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms()):
+        if projective:
             try:
-                state, p = densesim.project(pre_state, plan.op_qubits, outcome)
+                state, prob = densesim.project(pre_state, plan.op_qubits, outcome)
             except ValueError:
                 continue  # zero-probability outcome
-            branches.append(Branch(p, op.xi(outcome), finish(state)))
-    else:
-        raise ValueError(f"unknown operation variant {op.variant!r}")
+            sign = weight
+        else:
+            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
+            prob, sign = weight, 1.0
+        branches.append(Branch(prob, sign, densesim.run(post, state).probabilities()))
     return branches
 
 

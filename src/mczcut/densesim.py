@@ -233,26 +233,27 @@ def _subset_probabilities(state: StateVector, qubits) -> np.ndarray:
     return np.abs(psi.reshape(2**k, -1)) ** 2 @ np.ones(2**(n - k)) if n > k else np.abs(psi.reshape(-1)) ** 2
 
 
-def project(state: StateVector, qubits, outcome: str | int) -> tuple[StateVector, float]:
+def project(state: StateVector, qubits, outcome: int) -> tuple[StateVector, float]:
     """Project onto a computational-basis outcome of the given qubits.
 
-    Returns the renormalized post-measurement state and the outcome
-    probability.  Projecting onto a zero-probability outcome is an error.
+    ``outcome`` is the basis index over the qubit subset (its first qubit as
+    most significant bit).  Returns the renormalized post-measurement state
+    and the outcome probability.  Projecting onto a zero-probability outcome
+    is an error.
     """
     qubits = list(qubits)
     k = len(qubits)
     probs = _subset_probabilities(state, qubits)
-    outcome_idx = int(outcome, 2) if isinstance(outcome, str) else int(outcome)
-    p = float(probs[outcome_idx])
+    p = float(probs[outcome])
     if p < 1e-14:
-        raise ValueError(f"projection onto zero-probability outcome {outcome_idx:0{k}b}")
+        raise ValueError(f"projection onto zero-probability outcome {outcome:0{k}b}")
     n = state.num_qubits
     psi = state.amplitudes.reshape((2,) * n).copy()
     psi = np.moveaxis(psi, qubits, range(k))
     flat = psi.reshape(2**k, -1)
-    keep = flat[outcome_idx].copy()
+    keep = flat[outcome].copy()
     flat[:] = 0.0
-    flat[outcome_idx] = keep / math.sqrt(p)
+    flat[outcome] = keep / math.sqrt(p)
     psi = np.moveaxis(flat.reshape((2,) * n), range(k), qubits)
     return StateVector(np.ascontiguousarray(psi).reshape(-1), n), p
 
@@ -266,18 +267,19 @@ def _check_superop_size(n: int):
         raise ValueError(f"superoperators limited to {MAX_SUPEROP_QUBITS} qubits, got {n}")
 
 
-def superop_of_unitary(unitary: np.ndarray, strict: bool = True) -> Superoperator:
-    """Matrix of rho -> U rho U^dagger under column-major vectorization."""
+def superop_of_unitary(unitary: np.ndarray) -> Superoperator:
+    """Matrix of rho -> U rho U^dagger under column-major vectorization.
+
+    A matrix that is not unitary within NORM_TOL is rejected."""
     unitary = np.asarray(unitary, dtype=complex)
     d = unitary.shape[0]
     n = int(round(math.log2(d)))
     if unitary.shape != (d, d) or 2**n != d:
         raise ValueError("unitary must be square with power-of-two dimension")
     _check_superop_size(n)
-    if strict:
-        err = np.max(np.abs(unitary.conj().T @ unitary - np.eye(d)))
-        if err > NORM_TOL:
-            raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
+    err = np.max(np.abs(unitary.conj().T @ unitary - np.eye(d)))
+    if err > NORM_TOL:
+        raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
     return Superoperator(np.kron(unitary.conj(), unitary), n)
 
 
@@ -303,10 +305,10 @@ def superop_of_kraus_like(terms, n: int) -> Superoperator:
 def superop_of_local_operation(op) -> Superoperator:
     """Superoperator of a decomposition local operation.
 
-    Dispatches on the operation's signed-diagonal expansion: unitary variants
-    give conj(D) (x) D; the Z-mixture averages all 2^n Z-layer channels; the
-    signed projector sums xi_l P_l . P_l with xi = -1 only at the all-ones
-    outcome; the rank-one projector keeps the single all-ones term.
+    Built from the operation's signed-diagonal expansion, the one the
+    multiplier certificate and the sampler read: a phase unitary gives
+    conj(D) (x) D, a Z-mixture averages its Z-layer channels, and the
+    projective variants sum xi_l P_l . P_l over the outcomes l.
     """
     return superop_of_kraus_like(op.signed_diagonal_terms(), op.num_qubits)
 

@@ -91,8 +91,9 @@ class ExperimentConfig:
         unknown = sorted(set(doc) - allowed)
         if unknown:
             raise ValueError(f"unknown field {unknown[0]!r} in experiment config")
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported config version {doc.get('version')!r}")
+        version = doc.get("version")
+        if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+            raise ValueError(f"unsupported config version {version!r}")
         kwargs = {k: v for k, v in doc.items() if k != "version"}
         return ExperimentConfig(**kwargs)
 

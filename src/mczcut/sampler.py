@@ -78,19 +78,20 @@ class TermAllocation:
     shots: int  # per subcircuit; the term consumes 2 * shots of the budget
 
 
-def allocate(decomposition: Decomposition, total: int) -> list[TermAllocation]:
+def allocate(terms, total: int) -> list[TermAllocation]:
     """Split a budget as N_i = round(|a_i| N / (2 kappa)) per subcircuit.
 
-    The rounding residual is assigned to the largest-|a| term so that
-    2 * sum_i N_i = N exactly; every term receives at least one shot per
-    subcircuit.  The total must be even and large enough to cover all terms.
+    ``terms`` are decomposition or embedded terms; kappa is the 1-norm of
+    their coefficients.  The rounding residual is assigned to the largest-|a|
+    term so that 2 * sum_i N_i = N exactly; every term receives at least one
+    shot per subcircuit.  The total must be even and large enough to cover
+    all terms.
     """
-    terms = decomposition.terms
     if total < 2 * len(terms):
         raise ValueError(f"budget {total} cannot cover {len(terms)} terms at one shot per subcircuit")
     if total % 2:
         raise ValueError("total shot budget must be even (each term runs two subcircuits)")
-    kap = decomposition.kappa
+    kap = float(sum(abs(t.coefficient) for t in terms))
     shares = [abs(t.coefficient) * total / (2.0 * kap) for t in terms]
     counts = [max(1, int(math.floor(x + 0.5))) for x in shares]
     largest = max(range(len(terms)), key=lambda i: abs(terms[i].coefficient))
@@ -140,14 +141,13 @@ class SideTable:
     observable values, computed once per table rather than per estimate:
 
     * ``probs``: the normalised branch probabilities;
-    * ``dists``: each branch's normalised outcome distribution, ``None`` for
-      a discarded (sign 0) branch, which contributes nothing;
+    * ``dists``: each branch's normalised outcome distribution;
     * ``signed``/``signed_sq``: each branch's sign times the observable
       values, and its square (one array per distinct sign).
     """
 
     probs: np.ndarray
-    dists: list[np.ndarray | None]
+    dists: list[np.ndarray]
     signed: list[np.ndarray]
     signed_sq: list[np.ndarray]
 
@@ -157,7 +157,7 @@ class SideTable:
         signed = {b.sign: b.sign * values for b in branches}
         squares = {sign: vals**2 for sign, vals in signed.items()}
         return SideTable(probs / probs.sum(),
-                         [None if b.sign == 0.0 else b.distribution / b.distribution.sum() for b in branches],
+                         [b.distribution / b.distribution.sum() for b in branches],
                          [signed[b.sign] for b in branches],
                          [squares[b.sign] for b in branches])
 
@@ -193,8 +193,8 @@ def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
     total = 0.0
     total_sq = 0.0
     for count, dist, vals, vals_sq in zip(branch_counts, table.dists, table.signed, table.signed_sq):
-        if count == 0 or dist is None:
-            continue  # discarded branches contribute zero
+        if count == 0:
+            continue
         outcome_counts = rng.multinomial(count, dist)
         total += float(outcome_counts @ vals)
         total_sq += float(outcome_counts @ vals_sq)
@@ -210,11 +210,9 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
     total_sq = 0.0
     vmax = 0.0
     for ia, (dist_a, vals_a) in enumerate(zip(table_a.dists, table_a.signed)):
-        if dist_a is None:
-            continue
         for ib, (dist_b, vals_b) in enumerate(zip(table_b.dists, table_b.signed)):
             count = int(pair_counts[ia, ib])
-            if count == 0 or dist_b is None:
+            if count == 0:
                 continue
             outcome_counts = rng.multinomial(count, np.outer(dist_a, dist_b).reshape(-1))
             vals = np.outer(vals_a, vals_b).reshape(-1)
@@ -270,10 +268,9 @@ def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int
 def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
                        values_a: np.ndarray, values_b: np.ndarray,
                        decomposition: Decomposition | None = None,
-                       allocations: list[TermAllocation] | None = None,
                        force: bool = False, tables: TermTables | None = None) -> EstimateRecord:
-    """Estimate each subcircuit expectation with its allocated shots, then
-    combine as sum_i a_i <O_A>_i <O_B>_i.
+    """Estimate each subcircuit expectation with its ``allocate`` share of
+    the budget, then combine as sum_i a_i <O_A>_i <O_B>_i.
 
     ``tables`` is ``term_tables(terms, values_a, values_b)`` built in advance;
     it is built here when omitted."""
@@ -281,10 +278,7 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
         raise ValueError("decomposition has not been verified; pass force=True to override")
     coeffs = np.array([t.coefficient for t in terms])
     kap = float(np.abs(coeffs).sum())
-    if allocations is None:
-        if decomposition is None:
-            raise ValueError("either a decomposition or explicit allocations are required")
-        allocations = allocate(decomposition, budget.total)
+    allocations = allocate(terms, budget.total)
     if tables is None:
         tables = term_tables(terms, values_a, values_b)
 

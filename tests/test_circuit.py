@@ -186,11 +186,11 @@ class TestSerialization:
 
 class TestObservable:
     def test_z_string_parity(self):
-        obs = Observable.z_string(3)
-        assert obs("000") == 1.0
-        assert obs("101") == 1.0
-        assert obs("100") == -1.0
-        assert obs("111") == -1.0
+        values = Observable.z_string(3).values
+        assert values[0b000] == 1.0
+        assert values[0b101] == 1.0
+        assert values[0b100] == -1.0
+        assert values[0b111] == -1.0
 
     def test_values_bounded(self):
         with pytest.raises(ValueError, match="-1, 1"):
@@ -201,9 +201,9 @@ class TestObservable:
         fa, fb = obs.factor((0, 2), (1, 3))
         for s in range(16):
             bits = format(s, "04b")
-            sa = bits[0] + bits[2]
-            sb = bits[1] + bits[3]
-            assert obs(bits) == fa(sa) * fb(sb)
+            sa = int(bits[0] + bits[2], 2)
+            sb = int(bits[1] + bits[3], 2)
+            assert obs.values[s] == fa.values[sa] * fb.values[sb]
 
     def test_custom_does_not_autofactor(self):
         obs = Observable(2, np.array([0.0, 0.5, 0.0, 0.0]))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mczcut import cli, densesim
+from mczcut import cli, cutter, densesim
 from mczcut.circuit import Circuit, Gate, Observable, cz, h, serialize
 
 
@@ -27,6 +27,16 @@ def wide_cut_circuit(k: int, m: int, seed: int = 0) -> Circuit:
     gates.append(Gate("MCZ", tuple(range(n))))
     gates += [Gate("RX", (q,), float(rng.uniform(0.5, 2.5))) for q in range(n)]
     return Circuit(n, tuple(gates), ("A",) * k + ("B",) * m)
+
+
+def padded_ccz_circuit(seed: int = 1) -> Circuit:
+    """Four qubits with a CCZ over qubits 0, 2 and 3, cut (1, 2); qubit 1
+    shares side A with qubit 0 but stays outside the gate."""
+    rng = np.random.default_rng(seed)
+    gates = [Gate("RY", (q,), float(rng.uniform(0.5, 2.5))) for q in range(4)]
+    gates += [Gate("CNOT", (0, 1)), Gate("MCZ", (0, 2, 3)), Gate("CNOT", (2, 3))]
+    gates += [Gate("RX", (q,), float(rng.uniform(0.5, 2.5))) for q in range(4)]
+    return Circuit(4, tuple(gates), ("A", "A", "B", "B"))
 
 
 class TestVerifyCommand:
@@ -74,10 +84,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "[2, 10]" in err
 
-    def test_corruption_hook_fails(self):
+    def test_corrupted_decomposition_fails(self, monkeypatch):
+        decompose = cutter.decompose_mcz
+
+        def corrupted(k, m):
+            d = decompose(k, m)
+            t = d.terms[0]
+            d.terms[0] = cutter.DecompositionTerm(-t.coefficient, t.op_a, t.op_b)
+            return d
+
+        monkeypatch.setattr(cutter, "decompose_mcz", corrupted)
         stream = io.StringIO()
-        assert cli.cmd_verify(sizes=[2], corrupt=True, stream=stream) == 1
-        assert "FAIL" in stream.getvalue()
+        assert cli.cmd_verify(sizes=[2], stream=stream) == 1
+        assert "FAIL  decomposition oracle (1,1)" in stream.getvalue()
 
 
 class TestDecomposeCommand:
@@ -164,6 +183,34 @@ class TestSampleCommand:
         exact = densesim.expval(densesim.run(circuit), Observable.z_string(7))
         # shots mode: Hoeffding |err| <= eps w.p. 0.95; preest: std-dev <= eps
         assert abs(json.loads(out.read_text())["estimate"] - exact) < 2 * epsilon
+
+    # Digests of the record file and of the first stdout line (the second
+    # echoes the output path), written while sampling still dispatched on the
+    # operation variant; they pin every bit of the seeded estimate (computed
+    # with numpy 2 on OpenBLAS).  The (3,3) cut samples the zmix_rest
+    # mixture, the (1,2) cut the signed projector beside an unmeasured qubit.
+    SAMPLE_GOLDENS = {
+        ("wide-3-3", "shots"): ("105b9f951ed5fa21a665c10e308bced7e5f8af7619b7f62fbaf9be943c359771",
+                                "360a902dc8366ac3c0cf824a118353539d6be6776d5f92c5aa89adeca7095ed4"),
+        ("wide-3-3", "preest"): ("26583bae909b51c4311c666981b011bf1a79a814088e142b7261af79e1da9087",
+                                 "bb1528bd586fbe58cfe2e287f0b809a30896671b8a0c603f9050ad3d759f9b60"),
+        ("padded-1-2", "shots"): ("38d9b278a5da7d65ec09ec4cb2ab35051b8999a32407ebf59ac2913dda4dd7a9",
+                                  "18a2ac535d8fccc12ca3a09e94829727c7784aa5b5906d093da42c725f388975"),
+        ("padded-1-2", "preest"): ("aa2340b93ffa8aa21666a3ead203dfb039c7c037d42fcd59443fc693c4b912a4",
+                                   "c61719040792a089cdb0dffbb975518ef15dc9d093fee62dc7799f110adcbfc6"),
+    }
+
+    @pytest.mark.parametrize("document,mode", list(SAMPLE_GOLDENS))
+    def test_golden_digests(self, tmp_path, document, mode):
+        circuit = wide_cut_circuit(3, 3, seed=2) if document == "wide-3-3" else padded_ccz_circuit()
+        doc = tmp_path / "circuit.json"
+        doc.write_text(serialize(circuit))
+        out = tmp_path / "record.json"
+        stream = io.StringIO()
+        assert cli.cmd_sample(str(doc), mode, 0.1, seed=19, out=str(out), stream=stream) == 0
+        digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
+                   hashlib.sha256(stream.getvalue().splitlines()[0].encode()).hexdigest())
+        assert digests == self.SAMPLE_GOLDENS[document, mode]
 
     def test_order_above_ceiling_exits_2(self, tmp_path, capsys):
         doc = tmp_path / "eleven.json"
@@ -278,7 +325,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize("fields", [{"seed": -1}, {"seed": 1.5}, {"circuits": "2"},
                                         {"repetitions": 2.0}, {"num_qubits": 3.0}, {"k": 1.0},
                                         {"k": 0, "m": 3}, {"circuits": 0}, {"circuits": -1},
-                                        {"epsilon": True},
+                                        {"epsilon": True}, {"version": True}, {"version": 1.0},
                                         {"delta": None, "mode": "circuit_sampling"}],
                              ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()))
     def test_experiment_config_fields(self, tmp_path, capsys, fields):

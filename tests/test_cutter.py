@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mczcut import cutter, densesim
-from mczcut.circuit import Circuit, Observable, cz, find_cut, h, mcz
-from mczcut.cutter import (DecompositionTerm, LocalOperation, channel_multiplier,
-                           decompose_ccz, decompose_choi_block, decompose_mcz,
-                           embed, exact_cut_expectation, kappa,
-                           rewrite_projector, verify)
+from mczcut.circuit import Circuit, Gate, Observable, cnot, cz, find_cut, h, mcz
+from mczcut.cutter import (DecompositionTerm, LocalOperation, SubcircuitPlan,
+                           channel_multiplier, decompose_ccz,
+                           decompose_choi_block, decompose_mcz, embed,
+                           exact_cut_expectation, kappa, rewrite_projector,
+                           side_branches, verify)
 from mczcut.zhcalc import choi_block_matrix
 
 
@@ -29,7 +31,8 @@ class TestLocalOperation:
 
     def test_unitary_diagonals_unit_modulus(self):
         for op in (LocalOperation.mcp(2, math.pi / 2), LocalOperation.zlayer(3, 5)):
-            assert np.allclose(np.abs(op.diagonal()), 1.0)
+            [(weight, diagonal)] = op.signed_diagonal_terms()
+            assert weight == 1.0 and np.allclose(np.abs(diagonal), 1.0)
 
     def test_zmix_expands_to_equal_weights(self):
         terms = LocalOperation.zmix(3).signed_diagonal_terms()
@@ -43,10 +46,12 @@ class TestLocalOperation:
         assert sum(abs(s) for s in signs) == len(signs)
 
     def test_xi_bookkeeping(self):
-        sp = LocalOperation.signed_projector(2)
-        assert sp.xi(3) == -1.0 and sp.xi(0) == 1.0
-        proj = LocalOperation.projector(2)
-        assert proj.xi(3) == 1.0 and proj.xi(1) == 0.0
+        # projective terms are the basis projectors in outcome order, weighted by xi
+        for op, xi in ((LocalOperation.signed_projector(2), [1.0, 1.0, 1.0, -1.0]),
+                       (LocalOperation.projector(2), [0.0, 0.0, 0.0, 1.0])):
+            weights, diagonals = zip(*op.signed_diagonal_terms())
+            assert list(weights) == xi
+            assert np.array_equal(np.array(diagonals), np.eye(4))
 
 
 class TestChoiBlockDecomposition:
@@ -105,18 +110,20 @@ class TestDecomposeMcz:
     def test_raw_structure_is_split_independent(self):
         # the unmerged twelve-term form has the same variant multiset for every split
         def signature(k, m):
-            d = decompose_mcz(k, m, merged=False)
-            return sorted((t.op_a.variant, t.op_b.variant) for t in d.terms)
+            return sorted((t.op_a.variant, t.op_b.variant) for t in cutter._rewritten_terms(k, m))
         reference = signature(2, 2)
         for k, m in [(2, 3), (3, 3), (2, 4), (3, 2)]:
             assert signature(k, m) == reference
-        assert len(decompose_mcz(2, 2, merged=False).terms) == 12
+        assert len(reference) == 12
 
     def test_unitary_terms_are_diagonal_unit_modulus(self):
+        # every non-projective operation is a probability mixture of phase diagonals
         for t in decompose_mcz(2, 3).terms:
             for op in (t.op_a, t.op_b):
-                if op.is_unitary:
-                    assert np.allclose(np.abs(op.diagonal()), 1.0)
+                if op.variant not in cutter.PROJECTIVE_VARIANTS:
+                    weights, diagonals = zip(*op.signed_diagonal_terms())
+                    assert min(weights) > 0 and sum(weights) == pytest.approx(1.0)
+                    assert np.allclose(np.abs(np.array(diagonals)), 1.0)
 
     @given(st.integers(1, 15), st.integers(1, 15))
     @settings(max_examples=60, deadline=None)
@@ -251,6 +258,43 @@ class TestVerify:
     def test_corruption_detected_beyond_dense_range(self):
         report = verify(flip_first_coefficient(decompose_mcz(3, 4)))
         assert not report.passed and report.residual > 0.1
+
+
+def every_operation(n: int) -> list[LocalOperation]:
+    """Every variant on n qubits: mcp at three angles, each Z-layer, the
+    mixtures and both projective maps."""
+    ops = [LocalOperation("mcp", n, theta=theta) for theta in (math.pi / 3, -math.pi / 2, math.pi)]
+    ops += [LocalOperation.zlayer(n, mask) for mask in range(2**n)]
+    return ops + [LocalOperation.zmix(n), LocalOperation.zmix_rest(n),
+                  LocalOperation.signed_projector(n), LocalOperation.projector(n)]
+
+
+def operation_id(op: LocalOperation) -> str:
+    detail = op.theta if op.theta is not None else op.mask
+    return f"{op.variant}{op.num_qubits}" + ("" if detail is None else f"-{detail:.4g}")
+
+
+class TestBranchesRealiseCertifiedChannel:
+    @pytest.mark.parametrize("op", [op for n in (1, 2, 3) for op in every_operation(n)], ids=operation_id)
+    def test_branch_sum_equals_channel(self, op, rng):
+        # The operation acts on qubits 1..n of an (n+1)-qubit side; qubit 0 is
+        # entangled with them but outside the operation, so Lambda (x) on the
+        # whole side is kron(ones, Lambda) with qubit 0 as most significant bit.
+        width = op.num_qubits + 1
+        pre = [Gate("RY", (q,), float(rng.uniform(0, 2 * math.pi))) for q in range(width)]
+        pre += [cnot(q, q + 1) for q in range(width - 1)]
+        pre += [Gate("RX", (q,), float(rng.uniform(0, 2 * math.pi))) for q in range(width)]
+        post = [Gate(("RX", "RY")[rng.integers(2)], (q,), float(rng.uniform(0, 2 * math.pi)))
+                for q in range(width)]
+        plan = SubcircuitPlan(width, tuple(pre), op, tuple(range(1, width)), tuple(post), tuple(range(width)))
+        sampled = sum(b.prob * b.sign * b.distribution for b in side_branches(plan))
+
+        psi = densesim.run(Circuit(width, tuple(pre))).amplitudes
+        rho = np.outer(psi, psi.conj())
+        multiplier = np.kron(np.ones((2, 2)), channel_multiplier(op))
+        u = functools.reduce(np.kron, [densesim.rotation_matrix(g.kind, g.angle) for g in post])
+        expected = np.real(np.diag(u @ (multiplier * rho) @ u.conj().T))
+        assert np.max(np.abs(sampled - expected)) < 1e-12
 
 
 def bell_prep() -> Circuit:

@@ -124,10 +124,9 @@ class TestSuperoperators:
         expected = np.diag([1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1, -1, -1, -1, -1, 1])
         assert np.array_equal(s.matrix, expected.astype(complex))
 
-    def test_non_unitary_rejected_when_strict(self):
+    def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             superop_of_unitary(np.array([[1, 0], [0, 2]], dtype=complex))
-        superop_of_unitary(np.array([[1, 0], [0, 2]], dtype=complex), strict=False)
 
     def test_action_matches_conjugation(self, rng):
         for n in (1, 2, 3):

@@ -58,7 +58,7 @@ class TestAllocate:
         ops = [LocalOperation.identity(1)] * 2
         terms = [DecompositionTerm(0.5 * (-1) ** i, *ops) for i in range(6)]
         d = cutter.Decomposition(terms, 1, 1)
-        allocs = allocate(d, 600)
+        allocs = allocate(d.terms, 600)
         assert [a.shots for a in allocs] == [50] * 6
         assert 2 * sum(a.shots for a in allocs) == 600
 
@@ -69,31 +69,31 @@ class TestAllocate:
         terms += [DecompositionTerm(5.0, LocalOperation.zmix(1), ops[1])]
         d = cutter.Decomposition(terms, 1, 1)
         assert d.kappa == 6.0
-        allocs = allocate(d, 1_440_000)
+        allocs = allocate(d.terms, 1_440_000)
         assert allocs[0].shots == 60_000
 
     def test_conservation_after_rounding(self):
         d = decompose_mcz(1, 2)
-        allocs = allocate(d, 10_000)
+        allocs = allocate(d.terms, 10_000)
         assert 2 * sum(a.shots for a in allocs) == 10_000
         assert all(a.shots >= 1 for a in allocs)
 
     def test_budget_too_small(self):
         d = decompose_mcz(1, 2)
         with pytest.raises(ValueError, match="cannot cover"):
-            allocate(d, 2 * len(d.terms) - 2)
+            allocate(d.terms, 2 * len(d.terms) - 2)
 
     def test_odd_budget_rejected(self):
         d = decompose_mcz(1, 1)
         with pytest.raises(ValueError, match="even"):
-            allocate(d, 601)
+            allocate(d.terms, 601)
 
     @given(st.integers(100, 4000))
     @settings(max_examples=25, deadline=None)
     def test_conservation_property(self, half):
         d = decompose_mcz(1, 1)
         total = 2 * half
-        allocs = allocate(d, total)
+        allocs = allocate(d.terms, total)
         assert 2 * sum(a.shots for a in allocs) == total
 
 
@@ -201,10 +201,10 @@ class TestPreestimationMode:
         plan_b = SubcircuitPlan(1, (), LocalOperation.identity(1), (0,), (), (1,))
         terms = [EmbeddedTerm(1.0, plan_a, plan_b)]
         obs1 = Observable.z_string(1)
-        allocs = [sampler.TermAllocation(0, 50_000)]
         budget = ShotBudget(100_000, 0.01, 1.0)
-        record = preestimation_mode(terms, budget, 3, obs1.values, obs1.values, allocations=allocs)
+        record = preestimation_mode(terms, budget, 3, obs1.values, obs1.values)
         [entry] = record.per_term
+        assert entry["shots"] == 50_000
         assert record.estimate == pytest.approx(entry["mean_a"] * entry["mean_b"])
         assert entry["mean_b"] == 1.0  # |0> side is deterministic
 
@@ -214,11 +214,6 @@ class TestPreestimationMode:
         a = preestimation_mode(terms, budget, 17, va, vb, decomposition=d).to_json()
         b = preestimation_mode(terms, budget, 17, va, vb, decomposition=d).to_json()
         assert a.encode() == b.encode()
-
-    def test_needs_allocations_or_decomposition(self):
-        _, d, terms, va, vb = bell_setup()
-        with pytest.raises(ValueError, match="allocations"):
-            preestimation_mode(terms, ShotBudget(1000, 0.1, 3.0), 0, va, vb)
 
 
 class TestTermTables:
@@ -261,7 +256,7 @@ def reference_side_sum(branches, values, shots, rng):
     branch_counts = rng.multinomial(shots, probs / probs.sum())
     total = total_sq = 0.0
     for branch, count in zip(branches, branch_counts):
-        if count == 0 or branch.sign == 0.0:
+        if count == 0:
             continue
         outcome_counts = rng.multinomial(count, branch.distribution / branch.distribution.sum())
         vals = branch.sign * values
@@ -281,7 +276,7 @@ def reference_joint_products(side_a, side_b, shots, rng):
     for ia, branch_a in enumerate(branches_a):
         for ib, branch_b in enumerate(branches_b):
             count = int(pair_counts[ia, ib])
-            if count == 0 or branch_a.sign == 0.0 or branch_b.sign == 0.0:
+            if count == 0:
                 continue
             dist = np.outer(branch_a.distribution / branch_a.distribution.sum(),
                             branch_b.distribution / branch_b.distribution.sum()).reshape(-1)
@@ -297,7 +292,7 @@ class TestSideTable:
     def test_samplers_match_per_call_normalisation(self):
         _, _, terms, va, vb, _ = ccz_setup()
         sides = [((cutter.side_branches(t.side_a), va), (cutter.side_branches(t.side_b), vb)) for t in terms]
-        # a projector side: one discarded (sign 0) branch between kept ones
+        # a projector side: one sign-0 branch, sampled like the others
         dists = np.random.default_rng(4).uniform(size=(3, vb.size))
         projector = [cutter.Branch(p, sign, dist) for p, sign, dist in zip((0.5, 0.3, 0.2), (1.0, 0.0, -1.0), dists)]
         sides.append((sides[0][0], (projector, vb)))
@@ -317,13 +312,13 @@ class TestSignBookkeeping:
         budget = ShotBudget(2000, 0.1, d.kappa)
         baseline = preestimation_mode(terms, budget, 23, va, vb, decomposition=d)
 
-        original = LocalOperation.xi
+        original = LocalOperation.signed_diagonal_terms
 
-        def flipped(self, outcome):
-            value = original(self, outcome)
-            return -value if self.variant == "signed_projector" else value
+        def flipped(self):
+            terms = original(self)
+            return [(-w, d) for w, d in terms] if self.variant == "signed_projector" else terms
 
-        monkeypatch.setattr(LocalOperation, "xi", flipped)
+        monkeypatch.setattr(LocalOperation, "signed_diagonal_terms", flipped)
         flipped_run = preestimation_mode(terms, budget, 23, va, vb, decomposition=d)
 
         for base_entry, flip_entry, term in zip(baseline.per_term, flipped_run.per_term, terms):
