@@ -11,12 +11,11 @@ from .circuit import (Circuit, Gate, Observable, PartitionedCut, find_cut,
                       parse, serialize, validate)
 from .cutter import (Decomposition, DecompositionTerm, LocalOperation,
                      channel_multiplier, decompose_ccz, decompose_choi_block,
-                     decompose_mcz, embed, exact_cut_expectation, kappa,
+                     decompose_mcz, embed, exact_cut_expectation,
                      rewrite_projector, verify)
 from .densesim import (StateVector, Superoperator, expval, project, run,
                        superop_of_local_operation, superop_of_unitary)
-from .sampler import (EstimateRecord, ShotBudget, TermAllocation, allocate,
-                      empirical_variance_report, hoeffding_shots,
+from .sampler import (EstimateRecord, ShotBudget, allocate, hoeffding_shots,
                       preestimation_budget, preestimation_mode,
                       sample_circuit_mode)
 
@@ -25,12 +24,11 @@ __all__ = [
     "serialize", "validate",
     "Decomposition", "DecompositionTerm", "LocalOperation", "channel_multiplier",
     "decompose_ccz", "decompose_choi_block", "decompose_mcz", "embed", "exact_cut_expectation",
-    "kappa", "rewrite_projector", "verify",
+    "rewrite_projector", "verify",
     "StateVector", "Superoperator", "expval", "project", "run",
     "superop_of_local_operation", "superop_of_unitary",
-    "EstimateRecord", "ShotBudget", "TermAllocation", "allocate",
-    "empirical_variance_report", "hoeffding_shots", "preestimation_budget",
-    "preestimation_mode", "sample_circuit_mode",
+    "EstimateRecord", "ShotBudget", "allocate", "hoeffding_shots",
+    "preestimation_budget", "preestimation_mode", "sample_circuit_mode",
 ]
 
 __version__ = "0.1.0"

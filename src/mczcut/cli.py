@@ -13,7 +13,8 @@ message means the input was rejected (a missing or malformed config, an
 experiment config field of the wrong type or range, a circuit document field
 of the wrong type, a non-finite angle, a circuit wider than the statevector
 simulator, a circuit without exactly one cross-partition MCZ, an epsilon or
-delta no budget meets, an out-of-range order or cut, a seed that is not a
+delta no budget meets or whose budget exceeds the shot ceiling
+``sampler.MAX_SHOTS``, an out-of-range order or cut, a seed that is not a
 non-negative integer, or a cut whose decomposition cannot be certified).
 Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
@@ -109,10 +110,10 @@ def cmd_verify(sizes=None, stream=None) -> int:
         for k in range(1, order):
             m = order - k
             result = cutter.verify(cutter.decompose_mcz(k, m))
-            report(f"decomposition oracle ({k},{m})", result.residual, result.tolerance)
-            report(f"double-fusion channel form ({k},{m})", result.hbox_form_residual, result.tolerance)
+            report(f"decomposition oracle ({k},{m})", result.residual, cutter.ORACLE_TOL)
+            report(f"double-fusion channel form ({k},{m})", result.hbox_form_residual, cutter.ORACLE_TOL)
             if result.dense_residual is not None:
-                report(f"dense superoperator cross-check ({k},{m})", result.dense_residual, result.tolerance)
+                report(f"dense superoperator cross-check ({k},{m})", result.dense_residual, cutter.ORACLE_TOL)
 
     print(("all checks passed" if failures == 0 else f"{failures} checks FAILED"), file=stream)
     return 0 if failures == 0 else 1
@@ -175,11 +176,15 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
         cut = find_cut(circuit)
     except ValueError as exc:
         raise InputError(f"no cuttable MCZ in {config_path}: {exc}") from None
+    decomposition = cutter.decompose_mcz(cut.k, cut.m)
     try:
-        sampler.check_accuracy(epsilon, delta if mode == "shots" else None)
+        if mode == "shots":
+            budget = sampler.ShotBudget.for_circuit_sampling(epsilon, delta, decomposition.kappa)
+        else:
+            total = sampler.preestimation_budget(epsilon, decomposition.kappa)
+            budget = sampler.ShotBudget(total + total % 2, epsilon, decomposition.kappa, mode="preestimation")
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    decomposition = cutter.decompose_mcz(cut.k, cut.m)
     if not force:
         if cut.order > cutter.MAX_CERTIFIED_ORDER:
             raise InputError(f"cut of order {cut.order} exceeds the certified order "
@@ -192,13 +197,9 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
     observable = Observable.z_string(circuit.num_qubits)
     values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
     if mode == "shots":
-        budget = sampler.ShotBudget.for_circuit_sampling(epsilon, delta, decomposition.kappa)
         record = sampler.sample_circuit_mode(terms, budget, seed, values_a.values, values_b.values,
                                              decomposition=decomposition, force=force)
     else:
-        total = sampler.preestimation_budget(epsilon, decomposition.kappa)
-        total += total % 2
-        budget = sampler.ShotBudget(total, epsilon, decomposition.kappa, mode="preestimation")
         record = sampler.preestimation_mode(terms, budget, seed, values_a.values, values_b.values,
                                             decomposition=decomposition, force=force)
     exact = densesim.expval(densesim.run(circuit), observable)

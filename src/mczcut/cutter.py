@@ -176,7 +176,9 @@ class Decomposition:
 
     @property
     def kappa(self) -> float:
-        return kappa(self)
+        """1-norm of the coefficients; mixture terms count once at |a| since their
+        internal weights are convex and measurement signs satisfy |xi| <= 1."""
+        return float(sum(abs(t.coefficient) for t in self.terms))
 
     def to_document(self) -> dict:
         return {
@@ -338,12 +340,6 @@ def decompose_ccz() -> Decomposition:
     return decompose_mcz(1, 2)
 
 
-def kappa(decomposition: Decomposition) -> float:
-    """1-norm of the coefficients; mixture terms count once at |a| since their
-    internal weights are convex and measurement signs satisfy |xi| <= 1."""
-    return float(sum(abs(t.coefficient) for t in decomposition.terms))
-
-
 # ---------------------------------------------------------------------------
 # Oracle verification
 # ---------------------------------------------------------------------------
@@ -354,13 +350,14 @@ MAX_CERTIFIED_ORDER = 10
 # Orders up to which the brute-force dense superoperator oracle cross-checks
 # every certificate, so that the multiplier path never certifies itself alone.
 DENSE_CHECK_MAX_ORDER = 4
+# Frobenius-residual tolerance of every decomposition certificate.
+ORACLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     residual: float
     hbox_form_residual: float
-    tolerance: float
     dense_residual: float | None = None
 
     @property
@@ -368,7 +365,7 @@ class VerificationReport:
         residuals = [self.residual, self.hbox_form_residual]
         if self.dense_residual is not None:
             residuals.append(self.dense_residual)
-        return all(r < self.tolerance for r in residuals)
+        return all(r < ORACLE_TOL for r in residuals)
 
 
 def channel_multiplier(op: LocalOperation) -> np.ndarray:
@@ -411,7 +408,7 @@ def _dense_oracle_residual(decomposition: Decomposition) -> float:
     return float(np.linalg.norm(total))
 
 
-def verify(decomposition: Decomposition, tolerance: float = 1e-10) -> VerificationReport:
+def verify(decomposition: Decomposition) -> VerificationReport:
     """Certify that the weighted local channels sum to the MCZ channel.
 
     Compares sum_j a_j kron(Lambda_A,j, Lambda_B,j) with u u^H (partition A
@@ -441,16 +438,17 @@ def verify(decomposition: Decomposition, tolerance: float = 1e-10) -> Verificati
     hbox_form -= target
     hbox_residual = float(np.linalg.norm(hbox_form))
     dense_residual = _dense_oracle_residual(decomposition) if k + m <= DENSE_CHECK_MAX_ORDER else None
-    report = VerificationReport(residual, hbox_residual, tolerance, dense_residual)
+    report = VerificationReport(residual, hbox_residual, dense_residual)
     decomposition.verified = report.passed
     return report
 
 
-def rewrite_projector(n: int, tolerance: float = 1e-12) -> float:
-    """Certify 2 P...P = Z-mixture - signed projector as channel multipliers.
+def rewrite_projector(n: int) -> float:
+    """Residual of 2 P...P = Z-mixture - signed projector as channel multipliers.
 
     Up to DENSE_CHECK_MAX_ORDER qubits the identity is also checked on dense
-    superoperator matrices; the larger of the two residuals is returned.
+    superoperator matrices; the larger of the two residuals is returned, for
+    the caller to judge like every ``zhcalc`` check.
     """
     if n > 5:
         raise ValueError("projector rewrite check limited to n <= 5")
@@ -465,8 +463,6 @@ def rewrite_projector(n: int, tolerance: float = 1e-12) -> float:
         doubled *= 2.0
         doubled -= difference
         residual = max(residual, float(np.max(np.abs(doubled))))
-    if residual >= tolerance:
-        raise AssertionError(f"projector rewrite residual {residual:.3e} exceeds {tolerance}")
     return residual
 
 

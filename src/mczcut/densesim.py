@@ -80,14 +80,6 @@ class StateVector:
         amps[0] = 1.0
         return StateVector(amps, n)
 
-    @staticmethod
-    def from_amplitudes(amps) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = int(round(math.log2(amps.size)))
-        if 2**n != amps.size:
-            raise ValueError("amplitude array length must be a power of two")
-        return StateVector(amps.copy(), n)
-
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes.copy(), self.num_qubits)
 
@@ -114,11 +106,11 @@ class Superoperator:
         out = self.matrix @ vec
         return out.reshape(rho.shape, order="F")
 
-    def is_trace_preserving(self, tol: float = NORM_TOL) -> bool:
+    def is_trace_preserving(self) -> bool:
         # tr(S(rho)) = tr(rho) for all rho  <=>  vec(I)^dagger S = vec(I)^dagger
         d = self.dim
         vec_id = np.eye(d, dtype=complex).reshape(-1, order="F")
-        return bool(np.max(np.abs(vec_id @ self.matrix - vec_id)) < tol)
+        return bool(np.max(np.abs(vec_id @ self.matrix - vec_id)) < NORM_TOL)
 
 
 # ---------------------------------------------------------------------------

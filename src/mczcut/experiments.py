@@ -27,7 +27,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,13 @@ from .circuit import Circuit, Gate, Observable, find_cut, validate
 # exact kappa.
 BUDGET_KAPPA = 6.0
 
-
-@dataclass(frozen=True)
-class RandomCircuitSpec:
-    rotations: int = 30
-    cnots: int = 10
-    impact_threshold: float = 0.2
-    max_attempts: int = 1000
+# The random-circuit recipe: gate counts over both partitions, the impact a
+# candidate's MCZ must have on the Z-string expectation, and the attempts the
+# rejection sampler makes before giving up.
+ROTATIONS = 30
+CNOTS = 10
+IMPACT_THRESHOLD = 0.2
+MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class ExperimentConfig:
     circuits: int = 5
     seed: int = 0
     delta: float = 0.05
-    spec: RandomCircuitSpec = field(default_factory=RandomCircuitSpec)
 
     def __post_init__(self):
         for name, low in (("num_qubits", 3), ("k", 1), ("m", 1), ("repetitions", 1),
@@ -82,7 +81,7 @@ class ExperimentConfig:
             raise ValueError("cut split must satisfy k + m = num_qubits")
         if self.mode not in ("preestimation", "circuit_sampling"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        sampler.check_accuracy(self.epsilon, self.delta if self.mode == "circuit_sampling" else None)
+        experiment_shots(self)  # rejects an epsilon or delta no budget meets
 
     @staticmethod
     def from_document(doc: dict) -> "ExperimentConfig":
@@ -103,19 +102,18 @@ def _split_counts(total: int, k: int, m: int) -> tuple[int, int]:
     return a, total - a
 
 
-def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator,
-                       spec: RandomCircuitSpec = RandomCircuitSpec()) -> Circuit:
+def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator) -> Circuit:
     """Generate a partitioned benchmark circuit with an impactful central MCZ.
 
     Rejection-samples until the exact Z-string expectation with and without
     the MCZ differ by more than the impact threshold; raises after the
     attempt limit (the difference can never exceed 2).
     """
-    return _random_circuit_and_state(n, k, m, rng, spec)[0]
+    return _random_circuit_and_state(n, k, m, rng)[0]
 
 
-def _random_circuit_and_state(n: int, k: int, m: int, rng: np.random.Generator,
-                              spec: RandomCircuitSpec) -> tuple[Circuit, densesim.StateVector]:
+def _random_circuit_and_state(n: int, k: int, m: int,
+                              rng: np.random.Generator) -> tuple[Circuit, densesim.StateVector]:
     """``gen_random_circuit`` together with the accepted circuit's final state.
 
     Each candidate's gates before the MCZ are simulated once; the gates after
@@ -125,14 +123,14 @@ def _random_circuit_and_state(n: int, k: int, m: int, rng: np.random.Generator,
         raise ValueError("need k + m = n with n between 2 and 6")
     qubits_a = list(range(k))
     qubits_b = list(range(k, n))
-    rot_a, rot_b = _split_counts(spec.rotations, k, m)
-    cnots_a, cnots_b = _split_counts(spec.cnots, k, m)
+    rot_a, rot_b = _split_counts(ROTATIONS, k, m)
+    cnots_a, cnots_b = _split_counts(CNOTS, k, m)
     if k < 2 and m < 2:  # CNOT needs two qubits on its side
         cnots_a = cnots_b = 0
     elif k < 2:
-        cnots_a, cnots_b = 0, spec.cnots
+        cnots_a, cnots_b = 0, CNOTS
     elif m < 2:
-        cnots_a, cnots_b = spec.cnots, 0
+        cnots_a, cnots_b = CNOTS, 0
     partition = tuple("A" if q < k else "B" for q in range(n))
     observable = Observable.z_string(n)
     mcz = Gate("MCZ", tuple(range(n)))
@@ -150,7 +148,7 @@ def _random_circuit_and_state(n: int, k: int, m: int, rng: np.random.Generator,
         rng.shuffle(gates)
         return gates
 
-    for _ in range(spec.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         # half of each partition's gates before the central MCZ, half after
         pre = tuple(local_block(qubits_a, rot_a // 2, cnots_a // 2)
                     + local_block(qubits_b, rot_b // 2, cnots_b // 2))
@@ -161,12 +159,12 @@ def _random_circuit_and_state(n: int, k: int, m: int, rng: np.random.Generator,
         state = densesim.run(Circuit(n, (mcz,) + post), pre_state)
         with_gate = densesim.expval(state, observable)
         without = densesim.expval(densesim.run(Circuit(n, post), pre_state), observable)
-        if abs(with_gate - without) > spec.impact_threshold:
+        if abs(with_gate - without) > IMPACT_THRESHOLD:
             circuit = Circuit(n, pre + (mcz,) + post, partition)
             validate(circuit)
             return circuit, state
-    raise RuntimeError(f"no circuit reached impact threshold {spec.impact_threshold} "
-                       f"in {spec.max_attempts} attempts")
+    raise RuntimeError(f"no circuit reached impact threshold {IMPACT_THRESHOLD} "
+                       f"in {MAX_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +203,11 @@ def _prepare_circuits(config: ExperimentConfig):
     prepared = []
     for c in range(config.circuits):
         circuit, state = _random_circuit_and_state(config.num_qubits, config.k, config.m,
-                                                   sampler._rng_for(config.seed, 100, c),
-                                                   config.spec)
+                                                   sampler._rng_for(config.seed, 100, c))
         cut = find_cut(circuit)
         terms = cutter.embed(decomposition, cut)
         values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
         prepared.append({
-            "circuit": circuit,
             "terms": terms,
             "tables": sampler.term_tables(terms, values_a.values, values_b.values),
             "values_a": values_a.values,
@@ -281,8 +277,10 @@ def _arm_summary(errors) -> dict:
     errors = list(errors)
     if len(errors) < 2:
         return {"std_dev": None, "mean": errors[0] if errors else None, "quantiles": None}
-    report = sampler.empirical_variance_report(errors)
-    return {"std_dev": report.std_dev, "mean": report.mean, "quantiles": report.quantiles}
+    arr = np.asarray(errors, dtype=float)
+    qs = np.quantile(arr, [0.05, 0.25, 0.75, 0.95])
+    return {"std_dev": float(arr.std(ddof=1)), "mean": float(arr.mean()),
+            "quantiles": {"5%": float(qs[0]), "25%": float(qs[1]), "75%": float(qs[2]), "95%": float(qs[3])}}
 
 
 def summarize(rows: list[RunRow], config: ExperimentConfig) -> dict:
@@ -308,10 +306,10 @@ def summary_json(rows: list[RunRow], config: ExperimentConfig) -> str:
 # Sampling-overhead table
 # ---------------------------------------------------------------------------
 
-def kappa_table(max_order: int = 6) -> list[dict]:
-    """Overhead constants for every split up to the given order."""
+def kappa_table() -> list[dict]:
+    """Overhead constants for every split up to order 6."""
     rows = []
-    for order in range(2, max_order + 1):
+    for order in range(2, 7):
         for k in range(1, order // 2 + 1):
             m = order - k
             d = cutter.decompose_mcz(k, m)

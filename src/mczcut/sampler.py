@@ -57,35 +57,43 @@ def check_accuracy(epsilon: float, delta: float | None = None) -> None:
         raise ValueError(f"epsilon and delta must lie in (0, 1), got {epsilon!r} and {delta!r}")
 
 
+# The largest even shot count: budgets are rounded up to even, and
+# Generator.multinomial draws at most the int64 maximum.
+MAX_SHOTS = int(np.iinfo(np.int64).max) - 1
+
+
+def _shot_count(bound: float, epsilon: float) -> int:
+    """ceil(bound), refused when it exceeds MAX_SHOTS (an infinite bound included)."""
+    if not bound <= MAX_SHOTS:
+        raise ValueError(f"epsilon {epsilon!r} needs a budget of {bound:.3g} shots, "
+                         f"above the {MAX_SHOTS} the sampler can draw")
+    return int(math.ceil(bound))
+
+
 def hoeffding_shots(epsilon: float, delta: float, kappa: float) -> int:
     """Smallest N with N >= 2 kappa^2 / eps^2 * ln(2 / delta) (one cut)."""
     check_accuracy(epsilon, delta)
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    bound = 2.0 * kappa**2 / epsilon**2 * math.log(2.0 / delta)
-    return int(math.ceil(bound))
+    bound = 2.0 * kappa**2 / epsilon**2 * math.log(2.0 / delta) if epsilon**2 else math.inf
+    return _shot_count(bound, epsilon)
 
 
 def preestimation_budget(epsilon: float, kappa: float) -> int:
     """N = ceil(4 kappa^2 / eps^2), bounding the estimator's std-dev by eps."""
     check_accuracy(epsilon)
-    return int(math.ceil(4.0 * kappa**2 / epsilon**2))
+    return _shot_count(4.0 * kappa**2 / epsilon**2 if epsilon**2 else math.inf, epsilon)
 
 
-@dataclass(frozen=True)
-class TermAllocation:
-    index: int
-    shots: int  # per subcircuit; the term consumes 2 * shots of the budget
-
-
-def allocate(terms, total: int) -> list[TermAllocation]:
+def allocate(terms, total: int) -> list[int]:
     """Split a budget as N_i = round(|a_i| N / (2 kappa)) per subcircuit.
 
     ``terms`` are decomposition or embedded terms; kappa is the 1-norm of
-    their coefficients.  The rounding residual is assigned to the largest-|a|
-    term so that 2 * sum_i N_i = N exactly; every term receives at least one
-    shot per subcircuit.  The total must be even and large enough to cover
-    all terms.
+    their coefficients.  Returns the per-subcircuit shot count N_i of each
+    term, in term order; the term consumes 2 N_i of the budget.  The rounding
+    residual is assigned to the largest-|a| term so that 2 * sum_i N_i = N
+    exactly; every term receives at least one shot per subcircuit.  The total
+    must be even and large enough to cover all terms.
     """
     if total < 2 * len(terms):
         raise ValueError(f"budget {total} cannot cover {len(terms)} terms at one shot per subcircuit")
@@ -98,7 +106,7 @@ def allocate(terms, total: int) -> list[TermAllocation]:
     counts[largest] += total // 2 - sum(counts)
     if counts[largest] < 1:
         raise ValueError("budget too small after rounding repair")
-    return [TermAllocation(i, c) for i, c in enumerate(counts)]
+    return counts
 
 
 @dataclass
@@ -278,7 +286,7 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
         raise ValueError("decomposition has not been verified; pass force=True to override")
     coeffs = np.array([t.coefficient for t in terms])
     kap = float(np.abs(coeffs).sum())
-    allocations = allocate(terms, budget.total)
+    shots = allocate(terms, budget.total)
     if tables is None:
         tables = term_tables(terms, values_a, values_b)
 
@@ -286,10 +294,9 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
     variance = 0.0
     variance_bound = 0.0
     per_term = []
-    for alloc, (table_a, table_b), a in zip(allocations, tables, coeffs):
-        n_i = alloc.shots
-        rng_a = _rng_for(seed, 2, alloc.index, 0)
-        rng_b = _rng_for(seed, 2, alloc.index, 1)
+    for i, (n_i, (table_a, table_b), a) in enumerate(zip(shots, tables, coeffs)):
+        rng_a = _rng_for(seed, 2, i, 0)
+        rng_b = _rng_for(seed, 2, i, 1)
         sum_a, sq_a = _sample_side_sum(table_a, n_i, rng_a)
         sum_b, sq_b = _sample_side_sum(table_b, n_i, rng_b)
         mean_a, mean_b = sum_a / n_i, sum_b / n_i
@@ -298,7 +305,7 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
         estimate += a * mean_a * mean_b
         variance += a**2 * (var_a * mean_b**2 + var_b * mean_a**2 + var_a * var_b)
         variance_bound += a**2 * 2.0 / n_i
-        per_term.append({"index": alloc.index, "coefficient": float(a), "shots": n_i,
+        per_term.append({"index": i, "coefficient": float(a), "shots": n_i,
                          "mean_a": mean_a, "mean_b": mean_b})
     return EstimateRecord(estimate, math.sqrt(variance), budget.total, "preestimation",
                           seed, kap, per_term, variance_bound=variance_bound)
@@ -309,25 +316,3 @@ def sample_uncut(distribution: np.ndarray, values: np.ndarray, shots: int,
     """Plain sampling estimate of a diagonal observable from a full-circuit distribution."""
     counts = rng.multinomial(shots, distribution / distribution.sum())
     return float(counts @ values) / shots
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    count: int
-    mean: float
-    std_dev: float
-    quantiles: dict[str, float]
-
-
-def empirical_variance_report(errors) -> VarianceReport:
-    """Mean, std-dev and the 5/25/75/95% quantiles of a batch of estimation errors."""
-    arr = np.asarray(list(errors), dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two records to report variance")
-    qs = np.quantile(arr, [0.05, 0.25, 0.75, 0.95])
-    return VarianceReport(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std_dev=float(arr.std(ddof=1)),
-        quantiles={"5%": float(qs[0]), "25%": float(qs[1]), "75%": float(qs[2]), "95%": float(qs[3])},
-    )

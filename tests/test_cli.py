@@ -84,19 +84,21 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "[2, 10]" in err
 
-    def test_corrupted_decomposition_fails(self, monkeypatch):
-        decompose = cutter.decompose_mcz
-
-        def corrupted(k, m):
-            d = decompose(k, m)
-            t = d.terms[0]
-            d.terms[0] = cutter.DecompositionTerm(-t.coefficient, t.op_a, t.op_b)
-            return d
-
-        monkeypatch.setattr(cutter, "decompose_mcz", corrupted)
+    def test_corrupted_decomposition_fails(self, corrupted_decompositions):
         stream = io.StringIO()
         assert cli.cmd_verify(sizes=[2], stream=stream) == 1
         assert "FAIL  decomposition oracle (1,1)" in stream.getvalue()
+
+    def test_failed_projector_rewrite_reported(self, monkeypatch, capsys):
+        original = cutter.LocalOperation.signed_diagonal_terms
+
+        def flipped(self):
+            terms = original(self)
+            return [(-w, d) for w, d in terms] if self.variant == "signed_projector" else terms
+
+        monkeypatch.setattr(cutter.LocalOperation, "signed_diagonal_terms", flipped)
+        assert cli.main(["verify", "--sizes", "2"]) == 1
+        assert "FAIL  projector rewrite n=1" in capsys.readouterr().out
 
 
 class TestDecomposeCommand:
@@ -212,6 +214,12 @@ class TestSampleCommand:
                    hashlib.sha256(stream.getvalue().splitlines()[0].encode()).hexdigest())
         assert digests == self.SAMPLE_GOLDENS[document, mode]
 
+    def test_failed_certificate_refused(self, tmp_path, capsys, corrupted_decompositions):
+        assert cli.main(["sample", "--config", str(bell_document(tmp_path)), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "failed certification" in captured.err
+        assert captured.out == ""
+
     def test_order_above_ceiling_exits_2(self, tmp_path, capsys):
         doc = tmp_path / "eleven.json"
         doc.write_text(serialize(wide_cut_circuit(5, 6)))
@@ -301,8 +309,12 @@ class TestRejectedInput:
         assert len(captured.err.splitlines()) == 1 and "no cross-partition gate" in captured.err
         assert captured.out == ""
 
+    # epsilons whose budget exceeds the shot ceiling: above int64, an
+    # infinite bound, and an epsilon whose square is 0
     @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--epsilon", "nan"],
-                                       ["--mode", "shots", "--delta", "1.5"]])
+                                       ["--mode", "shots", "--delta", "1.5"]] + [
+        pytest.param(["--mode", mode, "--epsilon", eps], id=f"{mode}-epsilon-{eps}")
+        for mode in ("shots", "preest") for eps in ("1e-10", "1e-160", "1e-300")])
     def test_sample_accuracy_targets(self, tmp_path, capsys, flags):
         out = tmp_path / "record.json"
         argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "1", "--out", str(out)]
@@ -312,7 +324,9 @@ class TestRejectedInput:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("fields", [{"epsilon": 0}, {"epsilon": -0.1},
-                                        {"mode": "circuit_sampling", "delta": 1.5}])
+                                        {"mode": "circuit_sampling", "delta": 1.5}] + [
+        pytest.param({"mode": mode, "epsilon": eps}, id=f"{mode}-epsilon-{eps}")
+        for mode in ("preestimation", "circuit_sampling") for eps in (1e-10, 1e-300)])
     def test_experiment_accuracy_targets(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
@@ -321,6 +335,13 @@ class TestRejectedInput:
         assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err
         assert not (tmp_path / "out").exists()
 
+
+    def test_budget_just_below_shot_ceiling_runs(self, tmp_path):
+        out = tmp_path / "record.json"
+        doc = str(bell_document(tmp_path))
+        assert cli.cmd_sample(doc, "preest", 5e-9, seed=1, out=str(out), stream=io.StringIO()) == 0
+        # 4 kappa^2 / eps^2 at kappa = 3
+        assert json.loads(out.read_text())["budget"] == pytest.approx(1.44e18)
 
     @pytest.mark.parametrize("fields", [{"seed": -1}, {"seed": 1.5}, {"circuits": "2"},
                                         {"repetitions": 2.0}, {"num_qubits": 3.0}, {"k": 1.0},

@@ -12,7 +12,7 @@ from mczcut.circuit import Circuit, Gate, Observable, cnot, cz, find_cut, h, mcz
 from mczcut.cutter import (DecompositionTerm, LocalOperation, SubcircuitPlan,
                            channel_multiplier, decompose_ccz,
                            decompose_choi_block, decompose_mcz, embed,
-                           exact_cut_expectation, kappa, rewrite_projector,
+                           exact_cut_expectation, rewrite_projector,
                            side_branches, verify)
 from mczcut.zhcalc import choi_block_matrix
 

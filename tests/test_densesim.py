@@ -14,7 +14,7 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    return StateVector(amps / np.linalg.norm(amps), n)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -34,13 +34,13 @@ class TestRun:
         assert np.allclose(out.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-12)
 
     def test_mcz_flips_all_ones_only(self):
-        ones = StateVector.from_amplitudes(np.eye(32)[31])
+        ones = StateVector(np.eye(32, dtype=complex)[31], 5)
         out = run(Circuit(5, (mcz(0, 1, 2, 3, 4),)), ones)
         expected = np.zeros(32)
         expected[31] = -1.0
         assert np.allclose(out.amplitudes, expected)
         # any other basis state is untouched
-        e7 = StateVector.from_amplitudes(np.eye(32)[7])
+        e7 = StateVector(np.eye(32, dtype=complex)[7], 5)
         out = run(Circuit(5, (mcz(0, 1, 2, 3, 4),)), e7)
         assert np.allclose(out.amplitudes, np.eye(32)[7])
 
@@ -82,24 +82,24 @@ class TestExpval:
         assert expval(StateVector.zero(3), Observable.z_string(3)) == 1.0
 
     def test_bell_even_parity(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, 0, 0, INV_SQRT2])
+        state = StateVector(np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex), 2)
         assert expval(state, Observable.z_string(2)) == pytest.approx(1.0)
 
     def test_mixed_parity_cancels(self):
         # (|00> + |01>)/sqrt(2): parities +1 and -1 at weight 1/2 each
-        state = StateVector.from_amplitudes([INV_SQRT2, INV_SQRT2, 0, 0])
+        state = StateVector(np.array([INV_SQRT2, INV_SQRT2, 0, 0], dtype=complex), 2)
         assert expval(state, Observable.z_string(2)) == pytest.approx(0.0)
 
 
 class TestProject:
     def test_plus_onto_one(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, INV_SQRT2])
+        state = StateVector(np.array([INV_SQRT2, INV_SQRT2], dtype=complex), 1)
         post, p = project(state, [0], 1)
         assert p == pytest.approx(0.5)
         assert np.allclose(post.amplitudes, [0, 1])
 
     def test_bell_onto_zero(self):
-        state = StateVector.from_amplitudes([INV_SQRT2, 0, 0, INV_SQRT2])
+        state = StateVector(np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex), 2)
         post, p = project(state, [0], 0)
         assert p == pytest.approx(0.5)
         assert np.allclose(post.amplitudes, [1, 0, 0, 0])

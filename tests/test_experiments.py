@@ -7,23 +7,24 @@ import pytest
 
 from mczcut import densesim, experiments, sampler
 from mczcut.circuit import Circuit, Gate, Observable, find_cut, validate
-from mczcut.experiments import (ExperimentConfig, RandomCircuitSpec,
-                                gen_random_circuit, kappa_table,
-                                run_experiment, rows_to_csv, summarize)
+from mczcut.experiments import (ExperimentConfig, gen_random_circuit,
+                                kappa_table, run_experiment, rows_to_csv,
+                                summarize)
 
 
-def reference_random_circuit(n, k, m, rng, spec=RandomCircuitSpec()):
+def reference_random_circuit(n, k, m, rng):
     """Reference generator: draws qubits with rng.choice and simulates each
-    candidate twice from |0...0>, with and without the MCZ."""
+    candidate twice from |0...0>, with and without the MCZ.  30 rotations and
+    10 CNOTs, impact threshold 0.2, at most 1000 attempts."""
     qubits_a, qubits_b = list(range(k)), list(range(k, n))
-    rot_a, rot_b = experiments._split_counts(spec.rotations, k, m)
-    cnots_a, cnots_b = experiments._split_counts(spec.cnots, k, m)
+    rot_a, rot_b = experiments._split_counts(30, k, m)
+    cnots_a, cnots_b = experiments._split_counts(10, k, m)
     if k < 2 and m < 2:
         cnots_a = cnots_b = 0
     elif k < 2:
-        cnots_a, cnots_b = 0, spec.cnots
+        cnots_a, cnots_b = 0, 10
     elif m < 2:
-        cnots_a, cnots_b = spec.cnots, 0
+        cnots_a, cnots_b = 10, 0
     partition = tuple("A" if q < k else "B" for q in range(n))
     observable = Observable.z_string(n)
 
@@ -38,14 +39,14 @@ def reference_random_circuit(n, k, m, rng, spec=RandomCircuitSpec()):
         rng.shuffle(gates)
         return gates
 
-    for _ in range(spec.max_attempts):
+    for _ in range(1000):
         pre = local_block(qubits_a, rot_a // 2, cnots_a // 2) + local_block(qubits_b, rot_b // 2, cnots_b // 2)
         post = local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2) \
             + local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
         circuit = Circuit(n, tuple(pre) + (Gate("MCZ", tuple(range(n))),) + tuple(post), partition)
         with_gate = densesim.expval(densesim.run(circuit), observable)
         without = densesim.expval(densesim.run(Circuit(n, tuple(pre) + tuple(post))), observable)
-        if abs(with_gate - without) > spec.impact_threshold:
+        if abs(with_gate - without) > 0.2:
             return circuit
     raise RuntimeError("no circuit reached the impact threshold")
 
@@ -54,8 +55,7 @@ class TestRandomCircuits:
     @pytest.mark.parametrize("k,m", [(k, n - k) for n in (3, 4, 5) for k in range(1, n)])
     def test_matches_reference_generator(self, k, m):
         for seed in range(50):
-            circuit, state = experiments._random_circuit_and_state(
-                k + m, k, m, np.random.default_rng(seed), RandomCircuitSpec())
+            circuit, state = experiments._random_circuit_and_state(k + m, k, m, np.random.default_rng(seed))
             assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
             assert np.array_equal(state.amplitudes, densesim.run(circuit).amplitudes)
 
@@ -83,10 +83,11 @@ class TestRandomCircuits:
         cnots = sum(1 for g in circuit.gates if g.kind == "CNOT")
         assert rotations == 30 and cnots == 10
 
-    def test_impossible_threshold_errors(self):
-        spec = RandomCircuitSpec(impact_threshold=2.5, max_attempts=25)
-        with pytest.raises(RuntimeError, match="threshold"):
-            gen_random_circuit(3, 1, 2, np.random.default_rng(0), spec)
+    def test_impossible_threshold_errors(self, monkeypatch):
+        monkeypatch.setattr(experiments, "IMPACT_THRESHOLD", 2.5)
+        monkeypatch.setattr(experiments, "MAX_ATTEMPTS", 25)
+        with pytest.raises(RuntimeError, match="threshold 2.5 in 25 attempts"):
+            gen_random_circuit(3, 1, 2, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         a = gen_random_circuit(4, 1, 3, np.random.default_rng(9))
@@ -172,6 +173,14 @@ class TestHarness:
         # a (2,3) cut has 17 terms (34 plans) over 14 distinct plans per circuit;
         # repetitions build nothing
         assert len(built) == len(set(built)) == 2 * 14
+
+    def test_failed_certificate_refused_before_any_table(self, monkeypatch, corrupted_decompositions):
+        built = []
+        monkeypatch.setattr(sampler, "side_branches", built.append)
+        config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2, repetitions=1, circuits=1)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            run_experiment(config)
+        assert built == []
 
     def test_circuit_sampling_mode(self):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.25, delta=0.1,

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mczcut import cutter, densesim, sampler
+from mczcut import cutter, densesim, experiments, sampler
 from mczcut.circuit import Circuit, Observable, cz, find_cut, h, mcz, rx
 from mczcut.cutter import (DecompositionTerm, EmbeddedTerm, LocalOperation,
                            SubcircuitPlan, decompose_mcz, embed,
                            exact_cut_expectation, verify)
-from mczcut.sampler import (ShotBudget, allocate, empirical_variance_report,
-                            hoeffding_shots, preestimation_budget,
-                            preestimation_mode, sample_circuit_mode,
-                            sample_uncut)
+from mczcut.sampler import (ShotBudget, allocate, hoeffding_shots,
+                            preestimation_budget, preestimation_mode,
+                            sample_circuit_mode, sample_uncut)
 
 
 class TestBudgets:
@@ -48,6 +47,14 @@ class TestBudgets:
         with pytest.raises(ValueError, match="epsilon"):
             preestimation_budget(0.0, 6.0)
 
+    def test_shot_ceiling_is_what_multinomial_draws(self):
+        assert sampler.MAX_SHOTS % 2 == 0 and sampler.MAX_SHOTS + 1 == np.iinfo(np.int64).max
+        largest = sampler._shot_count(2.0**63 - 1024, 1.0)  # the largest float below the ceiling
+        assert largest == 2**63 - 1024
+        assert np.random.default_rng(0).multinomial(largest, [0.5, 0.5]).sum() == largest
+        with pytest.raises(ValueError, match="budget of"):
+            sampler._shot_count(2.0**63, 1.0)
+
     def test_budget_constructors(self):
         b = ShotBudget.for_circuit_sampling(0.1, 0.05, 6.0)
         assert b.total == 26560 and b.mode == "circuit_sampling"
@@ -58,9 +65,7 @@ class TestAllocate:
         ops = [LocalOperation.identity(1)] * 2
         terms = [DecompositionTerm(0.5 * (-1) ** i, *ops) for i in range(6)]
         d = cutter.Decomposition(terms, 1, 1)
-        allocs = allocate(d.terms, 600)
-        assert [a.shots for a in allocs] == [50] * 6
-        assert 2 * sum(a.shots for a in allocs) == 600
+        assert allocate(d.terms, 600) == [50] * 6
 
     def test_share_formula(self):
         # |a| = 0.5 at kappa = 6 and N = 1.44e6: N_i = 0.5 * N / 12 = 60000
@@ -69,14 +74,13 @@ class TestAllocate:
         terms += [DecompositionTerm(5.0, LocalOperation.zmix(1), ops[1])]
         d = cutter.Decomposition(terms, 1, 1)
         assert d.kappa == 6.0
-        allocs = allocate(d.terms, 1_440_000)
-        assert allocs[0].shots == 60_000
+        assert allocate(d.terms, 1_440_000)[0] == 60_000
 
     def test_conservation_after_rounding(self):
         d = decompose_mcz(1, 2)
-        allocs = allocate(d.terms, 10_000)
-        assert 2 * sum(a.shots for a in allocs) == 10_000
-        assert all(a.shots >= 1 for a in allocs)
+        shots = allocate(d.terms, 10_000)
+        assert 2 * sum(shots) == 10_000
+        assert min(shots) >= 1
 
     def test_budget_too_small(self):
         d = decompose_mcz(1, 2)
@@ -93,8 +97,7 @@ class TestAllocate:
     def test_conservation_property(self, half):
         d = decompose_mcz(1, 1)
         total = 2 * half
-        allocs = allocate(d.terms, total)
-        assert 2 * sum(a.shots for a in allocs) == total
+        assert 2 * sum(allocate(d.terms, total)) == total
 
 
 def bell_setup():
@@ -345,13 +348,14 @@ class TestVarianceInflation:
 
 
 class TestVarianceReport:
-    def test_constant_records(self):
-        report = empirical_variance_report([0.5, 0.5, 0.5])
-        assert report.std_dev == 0.0 and report.mean == 0.5
+    """The error summary an experiment writes for each arm."""
 
-    def test_single_record_rejected(self):
-        with pytest.raises(ValueError, match="two records"):
-            empirical_variance_report([0.5])
+    def test_constant_records(self):
+        report = experiments._arm_summary([0.5, 0.5, 0.5])
+        assert report["std_dev"] == 0.0 and report["mean"] == 0.5
+
+    def test_single_record_has_no_spread(self):
+        assert experiments._arm_summary([0.5]) == {"std_dev": None, "mean": 0.5, "quantiles": None}
 
     def test_quantiles_of_many_runs(self):
         circuit, d, terms, va, vb, obs = ccz_setup(seed=5)
@@ -362,7 +366,7 @@ class TestVarianceReport:
         budget = ShotBudget(total, eps, d.kappa)
         errors = [preestimation_mode(terms, budget, seed, va, vb, decomposition=d).estimate - exact
                   for seed in range(100)]
-        report = empirical_variance_report(errors)
-        assert report.count == 100
+        report = experiments._arm_summary(errors)
+        assert report["std_dev"] == pytest.approx(np.std(errors, ddof=1))
         assert np.quantile(np.abs(errors), 0.95) < 3 * eps
-        assert set(report.quantiles) == {"5%", "25%", "75%", "95%"}
+        assert set(report["quantiles"]) == {"5%", "25%", "75%", "95%"}
