@@ -12,7 +12,7 @@ from .circuit import (Circuit, Gate, Observable, PartitionedCut, find_cut,
 from .cutter import (Decomposition, DecompositionTerm, LocalOperation,
                      channel_multiplier, decompose_ccz, decompose_choi_block,
                      decompose_mcz, embed, exact_cut_expectation,
-                     rewrite_projector, verify)
+                     final_state, rewrite_projector, verify)
 from .densesim import (StateVector, Superoperator, expval, project, run,
                        superop_of_local_operation, superop_of_unitary)
 from .sampler import (EstimateRecord, ShotBudget, allocate, hoeffding_shots,
@@ -24,7 +24,7 @@ __all__ = [
     "serialize", "validate",
     "Decomposition", "DecompositionTerm", "LocalOperation", "channel_multiplier",
     "decompose_ccz", "decompose_choi_block", "decompose_mcz", "embed", "exact_cut_expectation",
-    "rewrite_projector", "verify",
+    "final_state", "rewrite_projector", "verify",
     "StateVector", "Superoperator", "expval", "project", "run",
     "superop_of_local_operation", "superop_of_unitary",
     "EstimateRecord", "ShotBudget", "allocate", "hoeffding_shots",

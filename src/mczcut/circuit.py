@@ -279,12 +279,22 @@ def _is_real(value) -> bool:
 # Observables: diagonal, defined by a post-processing function on bitstrings.
 # ---------------------------------------------------------------------------
 
+def odd_parity(x: np.ndarray, n: int) -> np.ndarray:
+    """Whether each entry of x, a non-negative integer array below 2^n, has an
+    odd number of set bits.
+
+    Folds the bits with shifts and exclusive ors (np.bitwise_count needs
+    numpy 2): after the shifts 1, 2, 4, ... below n, bit 0 holds the parity.
+    """
+    shift = 1
+    while shift < n:
+        x = x ^ (x >> shift)
+        shift *= 2
+    return (x & 1).astype(bool)
+
+
 def _parity_values(n: int) -> np.ndarray:
-    idx = np.arange(2**n, dtype=np.uint64)
-    bits = np.zeros(2**n, dtype=np.int64)
-    for b in range(n):
-        bits += (idx >> np.uint64(b)).astype(np.int64) & 1
-    return np.where(bits % 2 == 0, 1.0, -1.0)
+    return np.where(odd_parity(np.arange(2**n, dtype=np.int64), n), -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,17 @@ experiment config field of the wrong type or range, a circuit document field
 of the wrong type, a non-finite angle, a circuit wider than the statevector
 simulator, a circuit without exactly one cross-partition MCZ, an epsilon or
 delta no budget meets or whose budget exceeds the shot ceiling
-``sampler.MAX_SHOTS``, an out-of-range order or cut, a seed that is not a
-non-negative integer, or a cut whose decomposition cannot be certified).
+``sampler.MAX_SHOTS``, a pre-estimation epsilon whose budget is below two
+shots per term, an out-of-range order or cut, a seed that is not a
+non-negative integer, a worker count below 1, an output path that cannot be
+written, or a cut whose decomposition cannot be certified).
 Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
 --seed is absent.
+
+``sample`` prints the exact value next to the estimate.  It comes from the
+MCZ's rank-two form (``cutter.final_state``), which runs each side on its
+own, never the full register.
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ DEFAULT_VERIFY_ORDERS = range(2, 7)
 
 class InputError(Exception):
     """Rejected input; ``main`` reports it as one line and exit code 2."""
+
+
+def _write(path: Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is rejected input."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _default_seed(args_seed: int | None) -> int:
@@ -138,7 +152,7 @@ def cmd_decompose(order: int, cut: int, out: str | None = None, stream=None) -> 
         print(f"oracle residual {result.residual:.3e} (PASS)", file=stream)
     doc = json.dumps(d.to_document(), indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(doc + "\n")
+        _write(Path(out), doc + "\n")
         print(f"wrote {out}", file=stream)
     else:
         print(doc, file=stream)
@@ -183,6 +197,7 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
         else:
             total = sampler.preestimation_budget(epsilon, decomposition.kappa)
             budget = sampler.ShotBudget(total + total % 2, epsilon, decomposition.kappa, mode="preestimation")
+            sampler.check_term_floor(budget.total, len(decomposition.terms), epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if not force:
@@ -202,27 +217,33 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
     else:
         record = sampler.preestimation_mode(terms, budget, seed, values_a.values, values_b.values,
                                             decomposition=decomposition, force=force)
-    exact = densesim.expval(densesim.run(circuit), observable)
+    exact = densesim.expval(cutter.final_state(cut), observable)
+    if out:  # before the result line, so an unwritable path prints nothing
+        _write(Path(out), record.to_json() + "\n")
     print(f"exact = {exact:+.6f}  estimate = {record.estimate:+.6f}  "
           f"std_dev = {record.std_dev:.2e}  shots = {record.shots}", file=stream)
     if out:
-        Path(out).write_text(record.to_json() + "\n")
         print(f"wrote {out}", file=stream)
     return 0
 
 
 def cmd_experiment(config_path: str, out_dir: str, workers: int = 1, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
+    if workers < 1:
+        raise InputError(f"--workers must be at least 1, got {workers}")
     try:
         doc = json.loads(Path(config_path).read_text())
         config = experiments.ExperimentConfig.from_document(doc)
     except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot read experiment config {config_path}: {exc}") from None
-    rows = experiments.run_experiment(config, workers=workers)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "runs.csv").write_text(experiments.rows_to_csv(rows))
-    (out / "summary.json").write_text(experiments.summary_json(rows, config) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc}") from None
+    rows = experiments.run_experiment(config, workers=workers)
+    _write(out / "runs.csv", experiments.rows_to_csv(rows))
+    _write(out / "summary.json", experiments.summary_json(rows, config) + "\n")
     summary = experiments.summarize(rows, config)
     for arm in ("cut", "uncut"):
         std = summary[arm]["std_dev"]

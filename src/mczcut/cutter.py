@@ -25,6 +25,10 @@ superoperator oracle in densesim cross-checks every certificate independently.
 Certification and sampling read the same expansion (w_i, d_i) of
 ``LocalOperation.signed_diagonal_terms``: ``side_branches`` runs each of its
 terms as one execution branch, so the sampled maps are the certified ones.
+
+``final_state`` gives the cut circuit's exact final state without the
+decomposition, from the MCZ's rank-two form I - 2 P_A (x) P_B and side-sized
+runs only.
 """
 
 from __future__ import annotations
@@ -587,3 +591,40 @@ def exact_cut_expectation(terms: list[EmbeddedTerm], values_a: np.ndarray, value
                   * exact_side_expectation(term.side_a, values_a)
                   * exact_side_expectation(term.side_b, values_b))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Exact final state from the MCZ's rank-two form
+# ---------------------------------------------------------------------------
+
+def final_state(cut: PartitionedCut) -> densesim.StateVector:
+    """The cut circuit's final state, from side-sized runs only.
+
+    MCZ = I - 2 P_A (x) P_B, where P projects a side's MCZ qubits onto 1...1.
+    Each side runs its gates before the MCZ once, then its gates after it on
+    psi (giving a1) and on P psi (giving a2); the final state a1 (x) b1 -
+    2 a2 (x) b2 is transposed into the circuit's qubit order, in which the
+    partitions may interleave.  The gates are linear, so P psi runs
+    unnormalised: however small its norm, it counts in full (a projection
+    that skipped an outcome of probability p would miss sqrt(p) in
+    amplitude).  The result carries ``densesim.run``'s norm-drift check.
+    """
+    circuit = cut.circuit
+    sides = []
+    for label, width in (("A", cut.k), ("B", cut.m)):
+        plan = _side_plan(cut, label, LocalOperation.projector(width))
+        pre_state = densesim.run(Circuit(plan.num_qubits, plan.pre_gates))
+        on_ones = np.zeros(2**width)
+        on_ones[-1] = 1.0
+        projected = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, on_ones)
+        for gate in plan.post_gates:
+            densesim.apply_gate(projected, gate)
+        after = densesim.run(Circuit(plan.num_qubits, plan.post_gates), pre_state)
+        sides.append((after.amplitudes, projected.amplitudes))
+    (a1, a2), (b1, b2) = sides
+    joint = np.outer(a1, b1)
+    joint -= np.outer(2.0 * a2, b2)  # doubling is exact, so this is 2 (a2 (x) b2)
+    n = circuit.num_qubits
+    order = circuit.qubits_in("A") + circuit.qubits_in("B")
+    amplitudes = joint.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+    return densesim.check_norm(densesim.StateVector(amplitudes, n))

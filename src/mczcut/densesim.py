@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circuit import odd_parity
+
 MAX_STATE_QUBITS = 20
 MAX_SUPEROP_QUBITS = 6
 NORM_TOL = 1e-10
@@ -188,6 +190,11 @@ def run(circuit, initial: StateVector | None = None) -> StateVector:
         state = initial.copy()
     for gate in circuit.gates:
         apply_gate(state, gate)
+    return check_norm(state)
+
+
+def check_norm(state: StateVector) -> StateVector:
+    """Return the state, or raise if its norm drifted from 1 by more than NORM_TOL."""
     if abs(state.norm() - 1.0) > NORM_TOL:
         raise RuntimeError(f"state norm drifted to {state.norm()}")
     return state
@@ -350,19 +357,14 @@ def zlayer_diagonals(n: int, masks) -> np.ndarray:
     """Diagonals of the Z-layers picked by bitmasks over local qubits, one row per mask.
 
     Bit q of a mask selects Z on qubit q, which is bit n-1-q of a basis index,
-    so entry s of a row is -1 where s has an odd number of selected bits.  The
-    parity folds the bits with shifts and exclusive ors (np.bitwise_count
-    needs numpy 2).  Odd entries are -1 - 0j, the bits an odd number of
-    negations of 1 + 0j gives.
+    so entry s of a row is -1 where s has an odd number of selected bits
+    (``circuit.odd_parity``).  Odd entries are -1 - 0j, the bits an odd
+    number of negations of 1 + 0j gives.
     """
     selected = np.array([int(format(mask, f"0{n}b")[::-1], 2) for mask in masks], dtype=np.int64)
-    x = selected[:, None] & np.arange(2**n, dtype=np.int64)
-    shift = 1
-    while shift < n:
-        x ^= x >> shift
-        shift *= 2
-    d = np.ones(x.shape, dtype=complex)
-    return np.negative(d, out=d, where=(x & 1).astype(bool))
+    odd = odd_parity(selected[:, None] & np.arange(2**n, dtype=np.int64), n)
+    d = np.ones(odd.shape, dtype=complex)
+    return np.negative(d, out=d, where=odd)
 
 
 def zlayer_diagonal(n: int, mask: int) -> np.ndarray:

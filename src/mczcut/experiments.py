@@ -81,7 +81,10 @@ class ExperimentConfig:
             raise ValueError("cut split must satisfy k + m = num_qubits")
         if self.mode not in ("preestimation", "circuit_sampling"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        experiment_shots(self)  # rejects an epsilon or delta no budget meets
+        shots = experiment_shots(self)  # rejects an epsilon or delta no budget meets
+        if self.mode == "preestimation":
+            terms = len(cutter.decompose_mcz(self.k, self.m).terms)
+            sampler.check_term_floor(shots, terms, self.epsilon)
 
     @staticmethod
     def from_document(doc: dict) -> "ExperimentConfig":

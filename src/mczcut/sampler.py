@@ -85,6 +85,14 @@ def preestimation_budget(epsilon: float, kappa: float) -> int:
     return _shot_count(4.0 * kappa**2 / epsilon**2 if epsilon**2 else math.inf, epsilon)
 
 
+def check_term_floor(total: int, num_terms: int, epsilon: float) -> None:
+    """Refuse a pre-estimation budget below one shot per subcircuit of every
+    term (2 x terms), the least ``allocate`` can split; a large epsilon gives one."""
+    if total < 2 * num_terms:
+        raise ValueError(f"epsilon {epsilon!r} gives a budget of {total} shots, below the "
+                         f"{2 * num_terms} that one shot per subcircuit of {num_terms} terms needs")
+
+
 def allocate(terms, total: int) -> list[int]:
     """Split a budget as N_i = round(|a_i| N / (2 kappa)) per subcircuit.
 
@@ -211,22 +219,39 @@ def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
 
 def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
                            rng: np.random.Generator):
-    """Draw ``shots`` paired runs; return per-shot product sums (sum, sum of squares, max |v|)."""
+    """Draw ``shots`` paired runs; return per-shot product sums (sum, sum of squares, max |v|).
+
+    A branch pair's outcome counts C (A outcomes by B outcomes) are scored as
+    side contractions: the sum is vals_a C vals_b, the sum of squares
+    sq_a C sq_b, and the largest |v| is the maximum over a of |v_a| times the
+    largest |v_b| with C_ab > 0.  Precondition: every value is 0 or +-1 (a
+    Z-string value times a branch sign) and every count is below 2^53, so each
+    partial sum is an exact integer and the contractions give the bits of the
+    per-outcome products in any order.  The maximum keeps its bits for any
+    values, since rounding is monotone and |x y| = |x| |y|.
+    """
     joint = np.outer(table_a.probs, table_b.probs).reshape(-1)
     pair_counts = rng.multinomial(shots, joint).reshape(table_a.probs.size, table_b.probs.size)
+    # One branch pair's joint outcome distribution and then, once drawn, its
+    # outcome counts C as floats: scoring makes no other float array of
+    # 2^(s_A + s_B) entries.
+    pair = np.empty((table_a.dists[0].size, table_b.dists[0].size))
     total = 0.0
     total_sq = 0.0
     vmax = 0.0
-    for ia, (dist_a, vals_a) in enumerate(zip(table_a.dists, table_a.signed)):
-        for ib, (dist_b, vals_b) in enumerate(zip(table_b.dists, table_b.signed)):
+    for ia, (dist_a, vals_a, sq_a) in enumerate(zip(table_a.dists, table_a.signed, table_a.signed_sq)):
+        abs_a = np.abs(vals_a)
+        for ib, (dist_b, vals_b, sq_b) in enumerate(zip(table_b.dists, table_b.signed, table_b.signed_sq)):
             count = int(pair_counts[ia, ib])
             if count == 0:
                 continue
-            outcome_counts = rng.multinomial(count, np.outer(dist_a, dist_b).reshape(-1))
-            vals = np.outer(vals_a, vals_b).reshape(-1)
-            total += float(outcome_counts @ vals)
-            total_sq += float(outcome_counts @ vals**2)
-            vmax = max(vmax, float(np.max(np.abs(vals[outcome_counts > 0]))))
+            np.multiply.outer(dist_a, dist_b, out=pair)
+            np.copyto(pair, rng.multinomial(count, pair.reshape(-1)).reshape(pair.shape))
+            total += float(vals_a @ (pair @ vals_b))
+            total_sq += float(sq_a @ (pair @ sq_b))
+            largest_b = np.maximum.reduce(np.broadcast_to(np.abs(vals_b), pair.shape), axis=1,
+                                          where=pair > 0, initial=0.0)
+            vmax = max(vmax, float(np.max(abs_a * largest_b)))
     return total, total_sq, vmax
 
 

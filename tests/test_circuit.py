@@ -192,6 +192,15 @@ class TestObservable:
         assert values[0b100] == -1.0
         assert values[0b111] == -1.0
 
+    def test_parity_fold_matches_per_bit_count(self):
+        for n in range(21):
+            index = np.arange(2**n, dtype=np.uint64)
+            ones = np.zeros(2**n, dtype=np.int64)
+            for b in range(n):
+                ones += (index >> np.uint64(b)).astype(np.int64) & 1
+            expected = np.where(ones % 2 == 0, 1.0, -1.0)
+            assert Observable.z_string(n).values.tobytes() == expected.tobytes()
+
     def test_values_bounded(self):
         with pytest.raises(ValueError, match="-1, 1"):
             Observable(1, np.array([2.0, 0.0]))

@@ -214,6 +214,29 @@ class TestSampleCommand:
                    hashlib.sha256(stream.getvalue().splitlines()[0].encode()).hexdigest())
         assert digests == self.SAMPLE_GOLDENS[document, mode]
 
+    def test_exact_value_without_full_register_run(self, tmp_path, monkeypatch):
+        circuit = wide_cut_circuit(3, 3, seed=2)
+        doc = tmp_path / "circuit.json"
+        doc.write_text(serialize(circuit))
+        widths, exact_values = [], []
+        run, expval = densesim.run, densesim.expval
+
+        def recording_run(c, initial=None):
+            widths.append(c.num_qubits)
+            return run(c, initial)
+
+        def recording_expval(state, observable):
+            exact_values.append(expval(state, observable))
+            return exact_values[-1]
+
+        monkeypatch.setattr(densesim, "run", recording_run)
+        monkeypatch.setattr(densesim, "expval", recording_expval)
+        stream = io.StringIO()
+        assert cli.cmd_sample(str(doc), "shots", 0.1, seed=19, stream=stream) == 0
+        assert widths and max(widths) == 3
+        assert exact_values == [pytest.approx(expval(run(circuit), Observable.z_string(6)), abs=1e-12)]
+        assert stream.getvalue().startswith(f"exact = {exact_values[0]:+.6f}  ")
+
     def test_failed_certificate_refused(self, tmp_path, capsys, corrupted_decompositions):
         assert cli.main(["sample", "--config", str(bell_document(tmp_path)), "--seed", "1"]) == 2
         captured = capsys.readouterr()
@@ -335,6 +358,59 @@ class TestRejectedInput:
         assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err
         assert not (tmp_path / "out").exists()
 
+
+    def test_sample_epsilon_below_term_floor(self, tmp_path, capsys):
+        # preest at eps = 10 budgets 2 shots; the CZ cut's 6 terms need 12
+        out = tmp_path / "record.json"
+        argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "1", "--out", str(out)]
+        assert cli.main(argv + ["--mode", "preest", "--epsilon", "10"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err and "6 terms" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_experiment_epsilon_below_term_floor(self, tmp_path, capsys):
+        # the (2, 3) cut has 17 terms; eps = 100 budgets 2 shots
+        cfg_path = tmp_path / "config.json"
+        fields = {"num_qubits": 5, "k": 2, "m": 3, "epsilon": 100}
+        cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "17 terms" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_sample_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "record.json"
+        argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and str(out) in captured.err
+        assert captured.out == ""
+
+    def test_decompose_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "d.json"
+        assert cli.main(["decompose", "--order", "3", "--cut", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(out) in err
+
+    def test_experiment_out_is_a_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and str(out) in captured.err
+        assert captured.out == "" and out.read_text() == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_experiment_workers_below_one(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+        argv = ["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--workers", workers]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "--workers" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_budget_just_below_shot_ceiling_runs(self, tmp_path):
         out = tmp_path / "record.json"

@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mczcut import cutter, densesim
-from mczcut.circuit import Circuit, Gate, Observable, cnot, cz, find_cut, h, mcz
+from mczcut.circuit import (Circuit, Gate, Observable, cnot, cz, find_cut, h,
+                            mcz, parse, serialize)
 from mczcut.cutter import (DecompositionTerm, LocalOperation, SubcircuitPlan,
                            channel_multiplier, decompose_ccz,
                            decompose_choi_block, decompose_mcz, embed,
-                           exact_cut_expectation, rewrite_projector,
-                           side_branches, verify)
+                           exact_cut_expectation, final_state,
+                           rewrite_projector, side_branches, verify)
 from mczcut.zhcalc import choi_block_matrix
+from test_circuit import circuits
 
 
 class TestLocalOperation:
@@ -355,3 +358,75 @@ class TestExportDocument:
         a = json.dumps(decompose_mcz(2, 3).to_document(), sort_keys=True)
         b = json.dumps(decompose_mcz(2, 3).to_document(), sort_keys=True)
         assert a == b
+
+
+def interleaved_cut_circuit(k: int, m: int, seed: int) -> Circuit:
+    """Rotations and side-local CNOT chains around one MCZ over all k + m
+    qubits (a CZ at order 2), with the A and B qubits interleaved."""
+    n = k + m
+    rng = np.random.default_rng(seed)
+    labels = ["A"] * k + ["B"] * m
+    rng.shuffle(labels)
+    sides = [[q for q in range(n) if labels[q] == label] for label in "AB"]
+
+    def layer(kind):
+        gates = [Gate(kind, (q,), float(rng.uniform(0.3, 2.8))) for q in range(n)]
+        return gates + [cnot(side[i], side[i + 1]) for side in sides for i in range(len(side) - 1)]
+
+    cut_gate = Gate("CZ" if n == 2 else "MCZ", tuple(range(n)))
+    return Circuit(n, tuple(layer("RY") + [cut_gate] + layer("RX")), tuple(labels))
+
+
+@st.composite
+def cut_documents(draw):
+    """A circuit document from ``circuits()`` cut by one MCZ or CZ: the gates
+    that cross a drawn partition are dropped and the cut gate is inserted at a
+    drawn position, on a drawn qubit set that touches both sides."""
+    circuit = draw(circuits())
+    n = circuit.num_qubits
+    labels = draw(st.lists(st.sampled_from(["A", "B"]), min_size=n, max_size=n)
+                  .filter(lambda ls: "A" in ls and "B" in ls))
+    gates = [g for g in circuit.gates if len({labels[q] for q in g.qubits}) == 1]
+    a = draw(st.sampled_from([q for q in range(n) if labels[q] == "A"]))
+    b = draw(st.sampled_from([q for q in range(n) if labels[q] == "B"]))
+    rest = [q for q in range(n) if q not in (a, b)]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    qubits = draw(st.permutations([a, b] + extra))
+    kind = "CZ" if len(qubits) == 2 and draw(st.booleans()) else "MCZ"
+    gates.insert(draw(st.integers(0, len(gates))), Gate(kind, tuple(qubits)))
+    return parse(serialize(Circuit(n, tuple(gates), tuple(labels))))
+
+
+LONG_TESTS = pytest.mark.skipif(os.environ.get("MCZCUT_LONG_TESTS") != "1",
+                                reason="opt-in long arm: set MCZCUT_LONG_TESTS=1")
+
+
+class TestFinalState:
+    @pytest.mark.parametrize("k,m", [
+        pytest.param(k, order - k, marks=[LONG_TESTS] if order > 10 else [])
+        for order in range(2, 13) for k in range(1, order)])
+    def test_cut_reconstruction_matches_rank_two_value(self, k, m):
+        circuit = interleaved_cut_circuit(k, m, seed=16 * k + m)
+        cut = find_cut(circuit)
+        observable = Observable.z_string(k + m)
+        values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
+        reconstructed = exact_cut_expectation(embed(decompose_mcz(k, m), cut), values_a.values, values_b.values)
+        assert abs(reconstructed - densesim.expval(final_state(cut), observable)) < 1e-12
+
+    @given(cut_documents())
+    @settings(max_examples=80, deadline=None)
+    def test_amplitudes_match_full_register_run(self, circuit):
+        cut = find_cut(circuit)
+        expected = densesim.run(circuit).amplitudes
+        assert np.max(np.abs(final_state(cut).amplitudes - expected)) < 1e-12
+
+    # RY(2e-8) leaves qubit 0 in |1> with probability 1e-16, below the 1e-14
+    # at which densesim.project refuses an outcome; RY(0) with probability 0.
+    # A run that skipped that outcome would miss 1e-8 in amplitude.
+    @pytest.mark.parametrize("angle", [2e-8, 0.0])
+    def test_side_with_negligible_all_ones_probability(self, angle):
+        assert math.sin(angle / 2) ** 2 < 1e-14
+        gates = (Gate("RY", (0,), angle), h(1), h(2), Gate("MCZ", (0, 1, 2)), h(0), h(1), cnot(2, 1))
+        circuit = Circuit(3, gates, ("A", "B", "B"))
+        expected = densesim.run(circuit).amplitudes
+        assert np.max(np.abs(final_state(find_cut(circuit)).amplitudes - expected)) < 1e-12

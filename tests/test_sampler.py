@@ -309,6 +309,24 @@ class TestSideTable:
                         == reference_joint_products(side_a, side_b, shots, np.random.default_rng(i)))
 
 
+class TestJointScoring:
+    def test_side_contractions_match_per_pair_loop(self):
+        # A (2, 3) cut with an idle qubit on each side: up to 4 A branches
+        # (the signed projector) by 8 B branches, over 8 x 16 outcomes
+        rng = np.random.default_rng(8)
+        gates = [rx(q, float(rng.uniform(0.3, 2.8))) for q in range(7)]
+        gates += [mcz(1, 2, 3, 4, 5)] + [rx(q, float(rng.uniform(0.3, 2.8))) for q in range(7)]
+        circuit = Circuit(7, tuple(gates), ("A",) * 3 + ("B",) * 4)
+        terms = embed(decompose_mcz(2, 3), find_cut(circuit))
+        va, vb = Observable.z_string(7).factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
+        tables = sampler.term_tables(terms, va.values, vb.values)
+        for term, (table_a, table_b) in zip(terms, tables):
+            sides = ((cutter.side_branches(term.side_a), va.values), (cutter.side_branches(term.side_b), vb.values))
+            for seed in range(4):
+                assert (sampler._sample_joint_products(table_a, table_b, 20_000, np.random.default_rng(seed))
+                        == reference_joint_products(*sides, 20_000, np.random.default_rng(seed)))
+
+
 class TestSignBookkeeping:
     def test_flipping_xi_flips_term_contribution(self, monkeypatch):
         _, d, terms, va, vb = bell_setup()
