@@ -64,6 +64,18 @@ class Gate:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
+    @staticmethod
+    def unchecked(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> "Gate":
+        """A gate built without ``__post_init__``, for internal code whose
+        values are already what it would store: a kind of GATE_KINDS, a tuple
+        of distinct ints of the kind's count, and a float angle exactly where
+        the kind takes one.  The random-circuit generator builds thousands."""
+        gate = object.__new__(Gate)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "qubits", qubits)
+        object.__setattr__(gate, "angle", angle)
+        return gate
+
 
 # Convenience constructors; these are the expected way to build gates.
 def rx(q: int, angle: float) -> Gate:

@@ -17,14 +17,16 @@ delta no budget meets or whose budget exceeds the shot ceiling
 ``sampler.MAX_SHOTS``, a pre-estimation epsilon whose budget is below two
 shots per term, an out-of-range order or cut, a seed that is not a
 non-negative integer, a worker count below 1, an output path that cannot be
-written, or a cut whose decomposition cannot be certified).
+written, a cut whose branch tables would exceed ``MAX_TABLE_BYTES``, or a
+cut whose decomposition cannot be certified).
 Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
 --seed is absent.
 
 ``sample`` prints the exact value next to the estimate.  It comes from the
 MCZ's rank-two form (``cutter.final_state``), which runs each side on its
-own, never the full register.
+own, never the full register.  Either value prints as +0.000000 when it
+rounds to zero at six decimals.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .circuit import Observable, find_cut, parse
 
 SEED_ENV_VAR = "MCZCUT_SEED"
 DEFAULT_VERIFY_ORDERS = range(2, 7)
+# The most branch-distribution bytes (cutter.branch_table_bytes) sample builds.
+MAX_TABLE_BYTES = 2**31
 
 
 class InputError(Exception):
@@ -175,6 +179,13 @@ def cmd_kappa_table(stream=None) -> int:
 # sample / experiment
 # ---------------------------------------------------------------------------
 
+def _signed6(value: float) -> str:
+    """The value at six decimals with its sign; one that rounds to zero prints
+    +0.000000, whatever the sign of its rounding noise."""
+    text = f"{value:+.6f}"
+    return "+0.000000" if text == "-0.000000" else text
+
+
 def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
                delta: float = 0.05, out: str | None = None, force: bool = False,
                stream=None) -> int:
@@ -200,15 +211,19 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
             sampler.check_term_floor(budget.total, len(decomposition.terms), epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if not force and cut.order > cutter.MAX_CERTIFIED_ORDER:
+        raise InputError(f"cut of order {cut.order} exceeds the certified order "
+                         f"{cutter.MAX_CERTIFIED_ORDER}; pass --force to sample uncertified")
+    terms = cutter.embed(decomposition, cut)
+    table_bytes = cutter.branch_table_bytes([plan for t in terms for plan in (t.side_a, t.side_b)])
+    if table_bytes > MAX_TABLE_BYTES:
+        raise InputError(f"the branch tables of {config_path} would hold {table_bytes / 2**30:.1f} GiB, "
+                         f"above the {MAX_TABLE_BYTES / 2**30:g} GiB sample builds")
     if not force:
-        if cut.order > cutter.MAX_CERTIFIED_ORDER:
-            raise InputError(f"cut of order {cut.order} exceeds the certified order "
-                             f"{cutter.MAX_CERTIFIED_ORDER}; pass --force to sample uncertified")
         result = cutter.verify(decomposition)
         if not result.passed:
             raise InputError(f"decomposition ({cut.k},{cut.m}) failed certification: "
                              f"residual {result.residual:.3e}")
-    terms = cutter.embed(decomposition, cut)
     observable = Observable.z_string(circuit.num_qubits)
     values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
     if mode == "shots":
@@ -220,7 +235,7 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
     exact = densesim.expval(cutter.final_state(cut), observable)
     if out:  # before the result line, so an unwritable path prints nothing
         _write(Path(out), record.to_json() + "\n")
-    print(f"exact = {exact:+.6f}  estimate = {record.estimate:+.6f}  "
+    print(f"exact = {_signed6(exact)}  estimate = {_signed6(record.estimate)}  "
           f"std_dev = {record.std_dev:.2e}  shots = {record.shots}", file=stream)
     if out:
         print(f"wrote {out}", file=stream)

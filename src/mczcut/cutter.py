@@ -26,6 +26,15 @@ Certification and sampling read the same expansion (w_i, d_i) of
 ``LocalOperation.signed_diagonal_terms``: ``side_branches`` runs each of its
 terms as one execution branch, so the sampled maps are the certified ones.
 
+``embed`` remaps each side's gates once, so all plans of a side share one
+pre-MCZ and one post-MCZ gate tuple and differ only in their operation.
+``shared_branches`` uses that: over many plans it runs each side's pre-MCZ
+gates once and simulates each distinct branch once, a branch being a side
+with a diagonal (keyed by its bytes) or a projective outcome.  So a
+projector and a signed projector share their outcome simulations, and a
+Z-layer shares its simulation with the same layer inside a Z-mixture.
+``branch_table_bytes`` counts those distinct branches from the plans alone.
+
 ``final_state`` gives the cut circuit's exact final state without the
 decomposition, from the MCZ's rank-two form I - 2 P_A (x) P_B and side-sized
 runs only.
@@ -34,7 +43,7 @@ runs only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -520,15 +529,19 @@ def _side_plan(cut: PartitionedCut, label: str, op: LocalOperation) -> Subcircui
 
 
 def embed(decomposition: Decomposition, cut: PartitionedCut) -> list[EmbeddedTerm]:
-    """Produce the weighted subcircuit pairs realizing the cut decomposition."""
+    """Produce the weighted subcircuit pairs realizing the cut decomposition.
+
+    Each side's gates are remapped once: every plan of a side shares its gate
+    tuples, and the plans differ only in ``op``.
+    """
     if decomposition.order != cut.order:
         raise ValueError(f"decomposition order {decomposition.order} does not match cut order {cut.order}")
     if (decomposition.k, decomposition.m) != (cut.k, cut.m):
         raise ValueError(f"decomposition split ({decomposition.k},{decomposition.m}) "
                          f"does not match cut split ({cut.k},{cut.m})")
-    return [EmbeddedTerm(t.coefficient,
-                         _side_plan(cut, "A", t.op_a),
-                         _side_plan(cut, "B", t.op_b))
+    side_a = _side_plan(cut, "A", LocalOperation.identity(cut.k))
+    side_b = _side_plan(cut, "B", LocalOperation.identity(cut.m))
+    return [EmbeddedTerm(t.coefficient, replace(side_a, op=t.op_a), replace(side_b, op=t.op_b))
             for t in decomposition.terms]
 
 
@@ -551,6 +564,71 @@ class Branch:
     distribution: np.ndarray
 
 
+def _side_key(plan: SubcircuitPlan) -> tuple:
+    """A plan's side, apart from its operation.  Plans from one ``embed``
+    share their gate tuples, so the tuples are told apart by identity, not by
+    hashing every gate."""
+    return plan.num_qubits, id(plan.pre_gates), plan.op_qubits, id(plan.post_gates)
+
+
+def _branch_terms(plan: SubcircuitPlan) -> list[tuple[float, int | bytes, np.ndarray]]:
+    """(w, key, d) for each term (w, d) of the operation's signed-diagonal
+    expansion.  The key names the branch within its side: the outcome of a
+    projective term, the diagonal's bytes otherwise."""
+    projective = plan.op.variant in PROJECTIVE_VARIANTS
+    return [(weight, outcome if projective else diagonal.tobytes(), diagonal)
+            for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms())]
+
+
+def shared_branches(plans: list[SubcircuitPlan]) -> list[list[Branch]]:
+    """``side_branches`` of every plan, each simulation made once.
+
+    Each side's gates before the cut run once.  Each distinct branch, a side
+    with a diagonal's bytes or a projective outcome, is simulated once, so
+    equal branches of different plans share one distribution array; plans
+    with the same side and operation get the same list.  The simulation calls
+    are those of a single plan, so every distribution keeps its bits.
+    """
+    sides: dict[tuple, tuple[densesim.StateVector, Circuit]] = {}
+    simulated: dict[tuple, tuple[float | None, np.ndarray] | None] = {}
+    lists: dict[tuple, list[Branch]] = {}
+    out = []
+    for plan in plans:
+        side = _side_key(plan)
+        if side + (plan.op,) not in lists:
+            if side not in sides:
+                sides[side] = (densesim.run(Circuit(plan.num_qubits, plan.pre_gates)),
+                               Circuit(plan.num_qubits, plan.post_gates))
+            pre_state, post = sides[side]
+            projective = plan.op.variant in PROJECTIVE_VARIANTS
+            branches = []
+            for weight, key, diagonal in _branch_terms(plan):
+                if (side, key) not in simulated:
+                    simulated[side, key] = _simulate_branch(plan, pre_state, post, key, diagonal)
+                if simulated[side, key] is None:
+                    continue  # zero-probability outcome
+                prob, distribution = simulated[side, key]
+                branches.append(Branch(prob, weight, distribution) if projective
+                                else Branch(weight, 1.0, distribution))
+            lists[side + (plan.op,)] = branches
+        out.append(lists[side + (plan.op,)])
+    return out
+
+
+def _simulate_branch(plan: SubcircuitPlan, pre_state: densesim.StateVector, post: Circuit,
+                     key: int | bytes, diagonal: np.ndarray) -> tuple[float | None, np.ndarray] | None:
+    """(Born probability or None, final distribution) of one branch; None for
+    a projective outcome of zero probability."""
+    if plan.op.variant in PROJECTIVE_VARIANTS:
+        try:
+            state, prob = densesim.project(pre_state, plan.op_qubits, key)
+        except ValueError:
+            return None
+    else:
+        state, prob = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal), None
+    return prob, densesim.run(post, state).probabilities()
+
+
 def side_branches(plan: SubcircuitPlan) -> list[Branch]:
     """Enumerate the execution branches of one subcircuit plan exactly.
 
@@ -560,36 +638,34 @@ def side_branches(plan: SubcircuitPlan) -> list[Branch]:
     Born probability and carries sign w (zero-probability outcomes are
     skipped).
     """
-    pre_state = densesim.run(Circuit(plan.num_qubits, plan.pre_gates))
-    post = Circuit(plan.num_qubits, plan.post_gates)
-    projective = plan.op.variant in PROJECTIVE_VARIANTS
-    branches: list[Branch] = []
-    for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms()):
-        if projective:
-            try:
-                state, prob = densesim.project(pre_state, plan.op_qubits, outcome)
-            except ValueError:
-                continue  # zero-probability outcome
-            sign = weight
-        else:
-            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
-            prob, sign = weight, 1.0
-        branches.append(Branch(prob, sign, densesim.run(post, state).probabilities()))
-    return branches
+    return shared_branches([plan])[0]
+
+
+def branch_table_bytes(plans: list[SubcircuitPlan]) -> int:
+    """Bytes of the distinct branch distributions ``shared_branches`` holds
+    for these plans, from the plans alone: per side of s qubits, distinct
+    branches x 2^s x 8.  It counts every projective outcome, so it is exact
+    unless an outcome has zero probability, and never too small."""
+    distinct = {_side_key(plan) + (plan.op,): plan for plan in plans}.values()
+    branches = {(_side_key(plan), key) for plan in distinct for _, key, _ in _branch_terms(plan)}
+    return sum(8 * 2**side[0] for side, _ in branches)
+
+
+def _expectation(branches: list[Branch], values: np.ndarray) -> float:
+    return float(sum(b.prob * b.sign * float(b.distribution @ values) for b in branches))
 
 
 def exact_side_expectation(plan: SubcircuitPlan, values: np.ndarray) -> float:
     """Exact expectation of a diagonal observable over one subcircuit plan."""
-    return float(sum(b.prob * b.sign * float(b.distribution @ values) for b in side_branches(plan)))
+    return _expectation(side_branches(plan), values)
 
 
 def exact_cut_expectation(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> float:
     """Exact weighted reconstruction sum over all embedded term pairs."""
+    branches = shared_branches([plan for t in terms for plan in (t.side_a, t.side_b)])
     total = 0.0
-    for term in terms:
-        total += (term.coefficient
-                  * exact_side_expectation(term.side_a, values_a)
-                  * exact_side_expectation(term.side_b, values_b))
+    for term, branches_a, branches_b in zip(terms, branches[0::2], branches[1::2]):
+        total += term.coefficient * _expectation(branches_a, values_a) * _expectation(branches_b, values_b)
     return total
 
 

@@ -63,7 +63,7 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     if kind == "RY":
         return np.array([[c, -s], [s, c]], dtype=complex)
     if kind == "RZ":
-        return np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
+        return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]], dtype=complex)
     raise ValueError(f"not a rotation kind: {kind}")
 
 

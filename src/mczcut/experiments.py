@@ -144,10 +144,10 @@ def _random_circuit_and_state(n: int, k: int, m: int,
             kind = ("RX", "RY", "RZ")[rng.integers(3)]
             # the draw rng.choice(qubits) makes, without its per-call overhead
             qubit = qubits[int(rng.integers(len(qubits)))]
-            gates.append(Gate(kind, (qubit,), float(rng.uniform(0, 2 * math.pi))))
+            gates.append(Gate.unchecked(kind, (qubit,), float(rng.uniform(0, 2 * math.pi))))
         for _ in range(n_cnot):
             pair = rng.choice(qubits, size=2, replace=False)
-            gates.append(Gate("CNOT", (int(pair[0]), int(pair[1]))))
+            gates.append(Gate.unchecked("CNOT", (int(pair[0]), int(pair[1]))))
         rng.shuffle(gates)
         return gates
 

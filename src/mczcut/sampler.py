@@ -11,22 +11,32 @@ Sampling is executed by aggregated multinomial draws over the exact branch
 and outcome distributions, which is statistically identical to a per-shot
 loop, deterministic for a fixed seed, and fast enough for the 10^8-shot
 budgets.  The branch tables depend only on the subcircuit plans:
-``term_tables`` builds each distinct plan once, and a caller that runs many
+``term_tables`` builds each distinct plan once, from one pre-MCZ run per side
+and one simulation per distinct branch, and a caller that runs many
 estimates over the same terms builds them once and passes them in.
-Randomness uses PCG64 generators with per-term streams derived by stable
-seed-sequence keys, so results do not depend on execution order or worker
-count.
+
+Randomness uses PCG64 streams keyed by stable seed-sequence spawn keys, so
+results do not depend on execution order or worker count.  The stream of
+key (head, *tail) under seed s is Generator(PCG64(SeedSequence(s,
+spawn_key=(head, *tail)))): head 2 and tail (i, side) for a pre-estimation
+term's side, head 1 and tail (i,) for a circuit-sampling term.  An estimate
+builds all of its term streams in one pass (``_term_streams``): the seed
+sequence's hash of the words every key shares is computed once, the tails
+are hashed together in one vectorised pass, and each stream's PCG64 state
+is set on one reused Generator.  The streams are numpy's, word for word;
+``_rng_for`` builds a single stream the plain way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutter import Branch, Decomposition, EmbeddedTerm, SubcircuitPlan, side_branches
+from .cutter import Branch, Decomposition, EmbeddedTerm, shared_branches
 
 
 @dataclass(frozen=True)
@@ -169,11 +179,11 @@ class SideTable:
 
     @staticmethod
     def from_branches(branches: list[Branch], values: np.ndarray) -> "SideTable":
+        """The table of branches whose distributions are normalised already."""
         probs = np.array([b.prob for b in branches])
         signed = {b.sign: b.sign * values for b in branches}
         squares = {sign: vals**2 for sign, vals in signed.items()}
-        return SideTable(probs / probs.sum(),
-                         [b.distribution / b.distribution.sum() for b in branches],
+        return SideTable(probs / probs.sum(), [b.distribution for b in branches],
                          [signed[b.sign] for b in branches],
                          [squares[b.sign] for b in branches])
 
@@ -182,25 +192,144 @@ TermTables = list[tuple[SideTable, SideTable]]
 
 
 def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> TermTables:
-    """The (A, B) branch tables of every term, building each distinct plan once.
+    """The (A, B) branch tables of every term.
 
-    Tables depend only on the subcircuit plans, never on a seed, so one list
-    serves every estimate over the same terms (the ``tables=`` keyword of the
-    estimators).  A plan names its side's source qubits, so no A-side plan
-    equals a B-side plan and one dict serves both sides.
+    ``cutter.shared_branches`` runs each side's gates before the cut once and
+    simulates each distinct branch once; each distinct plan gets one table,
+    and tables share the arrays of equal branches.  Tables depend only on the
+    subcircuit plans, never on a seed, so one list serves every estimate over
+    the same terms (the ``tables=`` keyword of the estimators).
     """
-    tables: dict[SubcircuitPlan, SideTable] = {}
+    branch_lists = shared_branches([plan for t in terms for plan in (t.side_a, t.side_b)])
+    # Normalise each distinct distribution once, in place: the branches are
+    # this call's own, and x /= x.sum() gives the bits of x / x.sum().
+    for distribution in {id(b.distribution): b.distribution for bs in branch_lists for b in bs}.values():
+        distribution /= distribution.sum()
+    # keyed by the values too: an A-side and a B-side plan without gates share a list
+    tables: dict[tuple[int, int], SideTable] = {}
 
-    def table(plan: SubcircuitPlan, values: np.ndarray) -> SideTable:
-        if plan not in tables:
-            tables[plan] = SideTable.from_branches(side_branches(plan), values)
-        return tables[plan]
+    def table(branches: list[Branch], values: np.ndarray) -> SideTable:
+        key = id(branches), id(values)
+        if key not in tables:
+            tables[key] = SideTable.from_branches(branches, values)
+        return tables[key]
 
-    return [(table(t.side_a, values_a), table(t.side_b, values_b)) for t in terms]
+    return [(table(a, values_a), table(b, values_b))
+            for a, b in zip(branch_lists[0::2], branch_lists[1::2])]
 
 
 def _rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding, to build many streams of one seed in one pass.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(start: int, mult: int, count: int) -> tuple[list[int], list[int]]:
+    """The constants ``count`` successive hash steps xor in and multiply by:
+    each step multiplies the running constant by ``mult`` between the two."""
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(start)
+        start = start * mult & _MASK32
+        mults.append(start)
+    return xors, mults
+
+
+# generate_state(4, uint64) hashes eight uint32 words, cycling over the pool
+_STATE_XORS, _STATE_MULTS = (np.array(c, dtype=np.uint32)[:, None] for c in _hash_consts(_INIT_B, _MULT_B, 8))
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 values (Python ints or uint32 arrays)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_words(seed: int, head: int, tails: list[tuple[int, ...]]) -> list[tuple[int, int, int, int]]:
+    """``SeedSequence(seed, spawn_key=(head, *tail)).generate_state(4, np.uint64)``
+    of each tail, in one pass.
+
+    The entropy words are the seed's 32-bit words, zero-padded to the pool
+    size, then the key's words.  Those up to the head are shared, so they are
+    hashed once in Python ints; the tails (of one length, each entry below
+    2^32) are hashed in one uint32 pass over all of them.  The hash constants
+    advance the same way whatever the data.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    entropy = []
+    while seed:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + [head]
+    # the shared words take four hashmix calls each (filling the pool, then
+    # mixing it: 4 + 12 for the first four), then four per tail word
+    calls = _POOL_SIZE * len(entropy)
+    xors, mults = _hash_consts(_INIT_A, _MULT_A, calls + _POOL_SIZE * len(tails[0]))
+    step = iter(zip(xors, mults))
+
+    def hashmix(value: int) -> int:
+        xor, mult = next(step)
+        value = (value ^ xor) * mult & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # one row per pool word, one column per tail
+    pools = np.array(pool, dtype=np.uint32)[:, None]
+    tail_xors = np.array(xors[calls:], dtype=np.uint32).reshape(-1, _POOL_SIZE, 1)
+    tail_mults = np.array(mults[calls:], dtype=np.uint32).reshape(-1, _POOL_SIZE, 1)
+    for words, xor, mult in zip(np.array(tails, dtype=np.uint32).T, tail_xors, tail_mults):
+        hashed = (words ^ xor) * mult
+        hashed ^= hashed >> 16
+        pools = _mix(pools, hashed)
+    state = (pools[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_XORS) * _STATE_MULTS
+    state ^= state >> 16
+    low, high = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
+    return list(zip(*(low | high << np.uint64(32)).tolist()))
+
+
+def _pcg64_state(words: tuple[int, int, int, int]) -> dict:
+    """The state PCG64 seeds itself to from a seed sequence's four uint64
+    words s0 s1 i0 i1: inc = 2 (i0 i1) + 1 and
+    state = ((inc + (s0 s1)) MULT + inc) mod 2^128."""
+    s0, s1, i0, i1 = words
+    inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+    return {"bit_generator": "PCG64",
+            "state": {"state": ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _term_streams(seed: int, head: int, tails: list[tuple[int, ...]]):
+    """The generators ``_rng_for(seed, head, *tail)`` of the tails, in order,
+    seeded in one pass (``_seed_words``).
+
+    One Generator serves them all: taking the next stream sets its PCG64 to
+    that stream's seeded state, so a stream is used up before the next one is
+    taken.  The Generator's only other state is a cache of binomial set-up
+    values, a function of each draw's parameters, so the draws are those of a
+    fresh generator.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for words in _seed_words(seed, head, tails):
+        rng.bit_generator.state = _pcg64_state(words)
+        yield rng
 
 
 def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
@@ -270,10 +399,10 @@ def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int
     kap = float(np.abs(coeffs).sum())
     probs = np.abs(coeffs) / kap
     n_total = budget.total
-    rng_terms = _rng_for(seed, 0)
-    term_counts = rng_terms.multinomial(n_total, probs)
+    term_counts = _rng_for(seed, 0).multinomial(n_total, probs)
     if tables is None:
         tables = term_tables(terms, values_a, values_b)
+    streams = _term_streams(seed, 1, [(i,) for i, count in enumerate(term_counts) if count])
 
     total = 0.0
     total_sq = 0.0
@@ -283,8 +412,7 @@ def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int
         if count == 0:
             per_term.append({"index": i, "coefficient": float(coeffs[i]), "shots": 0})
             continue
-        rng = _rng_for(seed, 1, i)
-        s, s2, vmax = _sample_joint_products(table_a, table_b, int(count), rng)
+        s, s2, vmax = _sample_joint_products(table_a, table_b, int(count), next(streams))
         sign = math.copysign(1.0, coeffs[i])
         total += kap * sign * s
         total_sq += kap**2 * s2
@@ -314,16 +442,15 @@ def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
     shots = allocate(terms, budget.total)
     if tables is None:
         tables = term_tables(terms, values_a, values_b)
+    streams = _term_streams(seed, 2, [(i, side) for i in range(len(terms)) for side in (0, 1)])
 
     estimate = 0.0
     variance = 0.0
     variance_bound = 0.0
     per_term = []
     for i, (n_i, (table_a, table_b), a) in enumerate(zip(shots, tables, coeffs)):
-        rng_a = _rng_for(seed, 2, i, 0)
-        rng_b = _rng_for(seed, 2, i, 1)
-        sum_a, sq_a = _sample_side_sum(table_a, n_i, rng_a)
-        sum_b, sq_b = _sample_side_sum(table_b, n_i, rng_b)
+        sum_a, sq_a = _sample_side_sum(table_a, n_i, next(streams))
+        sum_b, sq_b = _sample_side_sum(table_b, n_i, next(streams))
         mean_a, mean_b = sum_a / n_i, sum_b / n_i
         var_a = max(sq_a / n_i - mean_a**2, 0.0) / n_i
         var_b = max(sq_b / n_i - mean_b**2, 0.0) / n_i

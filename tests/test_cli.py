@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mczcut import cli, cutter, densesim
-from mczcut.circuit import Circuit, Gate, Observable, cz, h, serialize
+from mczcut.circuit import Circuit, Gate, Observable, cz, find_cut, h, parse, serialize
 
 
 def bell_document(tmp_path):
@@ -236,6 +238,61 @@ class TestSampleCommand:
         assert widths and max(widths) == 3
         assert exact_values == [pytest.approx(expval(run(circuit), Observable.z_string(6)), abs=1e-12)]
         assert stream.getvalue().startswith(f"exact = {exact_values[0]:+.6f}  ")
+
+    # 3 qubits B,A,B: RY(pi/2) leaves qubit 1's Z factor at 0, so the exact
+    # value is 0 up to rounding noise of either sign
+    ZERO_VALUE_DOCUMENT = {
+        "version": 1, "num_qubits": 3, "partition": ["B", "A", "B"],
+        "gates": [{"kind": "RY", "qubits": [0], "angle": 1.0},
+                  {"kind": "RY", "qubits": [1], "angle": 1.5707963267948966},
+                  {"kind": "RY", "qubits": [2], "angle": 0.5},
+                  {"kind": "MCZ", "qubits": [0, 1, 2]},
+                  {"kind": "X", "qubits": [0]}, {"kind": "X", "qubits": [1]}, {"kind": "S", "qubits": [2]}]}
+
+    def test_value_rounding_to_zero_prints_plus_sign(self, tmp_path):
+        doc = tmp_path / "zero.json"
+        doc.write_text(json.dumps(self.ZERO_VALUE_DOCUMENT))
+        circuit = parse(doc.read_text())
+        exact = densesim.expval(cutter.final_state(find_cut(circuit)), Observable.z_string(3))
+        assert -5e-7 < exact < 0.0  # noise that +.6f prints as -0.000000
+        stream = io.StringIO()
+        assert cli.cmd_sample(str(doc), "preest", 0.2, seed=1, stream=stream) == 0
+        assert stream.getvalue().startswith("exact = +0.000000  estimate = ")
+
+    @pytest.mark.parametrize("value,text", [(-0.0, "+0.000000"), (-4.9e-7, "+0.000000"), (0.0, "+0.000000"),
+                                            (4.9e-7, "+0.000000"), (-5.1e-7, "-0.000001"),
+                                            (0.25, "+0.250000"), (-0.25, "-0.250000")])
+    def test_signed_six_decimals(self, value, text):
+        assert cli._signed6(value) == text
+
+    def test_oversized_branch_tables_exit_2_before_any_simulation(self, tmp_path, capsys, monkeypatch):
+        # 20 qubits with a (9,1) cut: the A side has 19 qubits, and its 1027
+        # distinct branches would hold 4 GiB
+        n = 20
+        gates = [h(q) for q in range(n)] + [Gate("RX", (q,), 0.3 + 0.1 * q) for q in range(n)]
+        gates += [Gate("MCZ", tuple(range(n - 10, n)))] + [Gate("RY", (q,), 0.7 + 0.05 * q) for q in range(n)]
+        doc = tmp_path / "wide.json"
+        doc.write_text(serialize(Circuit(n, tuple(gates), ("A",) * (n - 1) + ("B",))))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("simulated before the table check")
+
+        for name in ("run", "project", "apply_diagonal"):
+            monkeypatch.setattr(densesim, name, refused)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            assert cli.main(["sample", "--config", str(doc), "--seed", "1"]) == 2
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**24  # 16 MiB, two 19-qubit states, against the 4 GiB of tables
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"mczcut: error: the branch tables of {doc} would hold "
+                                             "4.0 GiB, above the 2 GiB sample builds"]
+        assert captured.out == ""
 
     def test_failed_certificate_refused(self, tmp_path, capsys, corrupted_decompositions):
         assert cli.main(["sample", "--config", str(bell_document(tmp_path)), "--seed", "1"]) == 2

@@ -338,6 +338,22 @@ class TestEmbed:
         with pytest.raises(ValueError, match="does not match"):
             embed(decompose_mcz(1, 2), find_cut(bell_prep()))
 
+    @pytest.mark.parametrize("labels", ["AAB", "BAB", "ABBA"])
+    def test_plans_equal_per_term_side_plans(self, labels):
+        n = len(labels)
+        gates = [h(q) for q in range(n)] + [cnot(0, n - 1) if labels[0] == labels[-1] else h(0)]
+        gates += [mcz(*range(n))] + [Gate("RX", (q,), 0.3 * (q + 1)) for q in range(n)]
+        cut = find_cut(Circuit(n, tuple(gates), tuple(labels)))
+        d = decompose_mcz(cut.k, cut.m)
+        terms = embed(d, cut)
+        for term, dt in zip(terms, d.terms):
+            assert term.side_a == cutter._side_plan(cut, "A", dt.op_a)
+            assert term.side_b == cutter._side_plan(cut, "B", dt.op_b)
+            # the gates are remapped once per side: every plan shares them
+            for side in ("side_a", "side_b"):
+                plan, first = getattr(term, side), getattr(terms[0], side)
+                assert plan.pre_gates is first.pre_gates and plan.post_gates is first.post_gates
+
     def test_gates_split_around_cut(self):
         circuit = bell_prep()
         terms = embed(decompose_mcz(1, 1), find_cut(circuit))

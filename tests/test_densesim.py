@@ -77,6 +77,14 @@ class TestSingleQubitKernel:
                 assert np.array_equal(out, tensordot_single(amps, n, matrix, q))
 
 
+class TestRotationMatrix:
+    def test_rz_literal_matches_diagonal_form(self):
+        for angle in np.random.default_rng(12).uniform(-4 * math.pi, 4 * math.pi, size=10_000):
+            angle = float(angle)
+            expected = np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
+            assert densesim.rotation_matrix("RZ", angle).tobytes() == expected.tobytes()
+
+
 class TestExpval:
     def test_all_zeros(self):
         assert expval(StateVector.zero(3), Observable.z_string(3)) == 1.0

@@ -59,6 +59,13 @@ class TestRandomCircuits:
             assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
             assert np.array_equal(state.amplitudes, densesim.run(circuit).amplitudes)
 
+    def test_unchecked_gates_hold_what_validation_stores(self):
+        for seed in range(5):
+            for gate in gen_random_circuit(5, 2, 3, np.random.default_rng(seed)).gates:
+                assert gate == Gate(gate.kind, gate.qubits, gate.angle)
+                assert type(gate.kind) is str and all(type(q) is int for q in gate.qubits)
+                assert (gate.angle is None) == (gate.kind in ("CNOT", "MCZ")) and type(gate.angle) in (float, type(None))
+
     def test_five_qubit_circuit(self):
         rng = np.random.default_rng(7)
         circuit = gen_random_circuit(5, 3, 2, rng)
@@ -158,29 +165,23 @@ class TestHarness:
         assert serial == parallel
 
     @pytest.mark.parametrize("mode", ["preestimation", "circuit_sampling"])
-    def test_branch_tables_built_once_per_distinct_plan(self, monkeypatch, mode):
-        built = []
-        original = sampler.side_branches
-
-        def counting(plan):
-            built.append(plan)
-            return original(plan)
-
-        monkeypatch.setattr(sampler, "side_branches", counting)
+    def test_branch_tables_built_once_per_distinct_plan(self, side_runs, mode):
         config = ExperimentConfig(num_qubits=5, k=2, m=3, epsilon=0.2, mode=mode,
                                   repetitions=3, circuits=2, seed=6)
         run_experiment(config)
-        # a (2,3) cut has 17 terms (34 plans) over 14 distinct plans per circuit;
-        # repetitions build nothing
-        assert len(built) == len(set(built)) == 2 * 14
+        # a (2,3) cut has 17 terms (34 plans) per circuit; each circuit's two
+        # sides run their pre-MCZ gates once, each distinct branch is
+        # simulated once, and repetitions simulate nothing
+        assert len(side_runs.plans) == 2 * 34
+        assert len(side_runs.pre) == 2 * 2
+        assert len(side_runs.post) == side_runs.distinct_branches()
+        assert len(side_runs.post) < sum(len(p.op.signed_diagonal_terms()) for p in set(side_runs.plans))
 
-    def test_failed_certificate_refused_before_any_table(self, monkeypatch, corrupted_decompositions):
-        built = []
-        monkeypatch.setattr(sampler, "side_branches", built.append)
+    def test_failed_certificate_refused_before_any_table(self, side_runs, corrupted_decompositions):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2, repetitions=1, circuits=1)
         with pytest.raises(RuntimeError, match="failed verification"):
             run_experiment(config)
-        assert built == []
+        assert side_runs.plans == [] and side_runs.pre == side_runs.post == []
 
     def test_circuit_sampling_mode(self):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.25, delta=0.1,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mczcut import cutter, densesim, experiments, sampler
-from mczcut.circuit import Circuit, Observable, cz, find_cut, h, mcz, rx
+from mczcut.circuit import Circuit, Gate, Observable, cz, find_cut, h, mcz, rx
 from mczcut.cutter import (DecompositionTerm, EmbeddedTerm, LocalOperation,
                            SubcircuitPlan, decompose_mcz, embed,
                            exact_cut_expectation, verify)
@@ -219,20 +219,104 @@ class TestPreestimationMode:
         assert a.encode() == b.encode()
 
 
+def normalised(branches):
+    """The branches with each distribution divided by its sum."""
+    return [cutter.Branch(b.prob, b.sign, b.distribution / b.distribution.sum()) for b in branches]
+
+
+def reference_side_branches(plan):
+    """Per-plan branch enumeration: its own pre-MCZ run and one simulation per term."""
+    pre_state = densesim.run(Circuit(plan.num_qubits, plan.pre_gates))
+    post = Circuit(plan.num_qubits, plan.post_gates)
+    branches = []
+    for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms()):
+        if plan.op.variant in cutter.PROJECTIVE_VARIANTS:
+            try:
+                state, prob = densesim.project(pre_state, plan.op_qubits, outcome)
+            except ValueError:
+                continue
+            sign = weight
+        else:
+            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
+            prob, sign = weight, 1.0
+        branches.append(cutter.Branch(prob, sign, densesim.run(post, state).probabilities()))
+    return branches
+
+
+def random_cut_circuit(k, m, seed, interleaved):
+    """Rotations and in-side CNOTs around an MCZ over k A and m B qubits, with
+    one more A qubit outside the gate; the sides interleave when asked."""
+    rng = np.random.default_rng(seed)
+    n = k + m + 1
+    labels = ["A"] * (k + 1) + ["B"] * m
+    if interleaved:
+        rng.shuffle(labels)
+    sides = {label: [q for q in range(n) if labels[q] == label] for label in "AB"}
+
+    def layer():
+        gates = [Gate(str(rng.choice(["RX", "RY"])), (q,), float(rng.uniform(0.3, 2.8))) for q in range(n)]
+        gates += [Gate("CNOT", tuple(qs[:2])) for qs in sides.values() if len(qs) > 1]
+        return gates
+
+    mcz_gate = Gate("MCZ", tuple(sides["A"][1:] + sides["B"]))
+    return Circuit(n, tuple(layer() + [mcz_gate] + layer()), tuple(labels))
+
+
+SPLITS = [(k, m) for k in (1, 2, 3) for m in (1, 2, 3)]
+
+
+def cut_tables(k, m, interleaved):
+    circuit = random_cut_circuit(k, m, seed=10 * k + m, interleaved=interleaved)
+    terms = embed(decompose_mcz(k, m), find_cut(circuit))
+    va, vb = Observable.z_string(circuit.num_qubits).factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
+    return terms, va.values, vb.values, sampler.term_tables(terms, va.values, vb.values)
+
+
 class TestTermTables:
-    def test_estimate_builds_each_distinct_plan_once(self, monkeypatch):
+    def test_estimate_builds_each_distinct_plan_once(self, side_runs):
         _, d, terms, va, vb, _ = ccz_setup()
-        built = []
-        original = sampler.side_branches
-
-        def counting(plan):
-            built.append(plan)
-            return original(plan)
-
-        monkeypatch.setattr(sampler, "side_branches", counting)
+        side_runs.plans.extend(plan for t in terms for plan in (t.side_a, t.side_b))
         preestimation_mode(terms, ShotBudget(6000, 0.1, d.kappa), 0, va, vb, decomposition=d)
-        plans = {plan for t in terms for plan in (t.side_a, t.side_b)}
-        assert len(built) == len(set(built)) == len(plans) < 2 * len(terms)
+        # one pre-MCZ run per side, not per distinct plan, and one simulation
+        # per distinct branch
+        assert len(side_runs.pre) == 2 < len(set(side_runs.plans))
+        assert len(side_runs.post) == side_runs.distinct_branches()
+        # prebuilt tables: an estimate simulates nothing
+        tables = sampler.term_tables(terms, va, vb)
+        del side_runs.pre[:], side_runs.post[:]
+        preestimation_mode(terms, ShotBudget(6000, 0.1, d.kappa), 1, va, vb, decomposition=d, tables=tables)
+        assert side_runs.pre == side_runs.post == []
+
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["blocked", "interleaved"])
+    @pytest.mark.parametrize("k,m", SPLITS)
+    def test_shared_tables_match_per_plan_branches(self, k, m, interleaved):
+        terms, va, vb, tables = cut_tables(k, m, interleaved)
+        for term, pair in zip(terms, tables):
+            for plan, table, values in zip((term.side_a, term.side_b), pair, (va, vb)):
+                expected = sampler.SideTable.from_branches(normalised(reference_side_branches(plan)), values)
+                assert table.probs.tobytes() == expected.probs.tobytes()
+                for field in ("dists", "signed", "signed_sq"):
+                    got, want = getattr(table, field), getattr(expected, field)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_sides_without_gates_keep_their_own_values(self):
+        # both sides of a bare CZ have the same (empty) gates, so their plans
+        # share branches; each table still scores its own side's values
+        terms = embed(decompose_mcz(1, 1), find_cut(Circuit(2, (cz(0, 1),), ("A", "B"))))
+        va, vb = np.array([1.0, -1.0]), np.array([2.0, 3.0])
+        for term, (table_a, table_b) in zip(terms, sampler.term_tables(terms, va, vb)):
+            for plan, table, values in ((term.side_a, table_a, va), (term.side_b, table_b, vb)):
+                expected = sampler.SideTable.from_branches(normalised(reference_side_branches(plan)), values)
+                assert [s.tobytes() for s in table.signed] == [s.tobytes() for s in expected.signed]
+
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["blocked", "interleaved"])
+    @pytest.mark.parametrize("k,m", SPLITS)
+    def test_table_bytes_estimate_matches_tables(self, k, m, interleaved):
+        # every outcome has non-zero probability here, so no branch is skipped
+        terms, _, _, tables = cut_tables(k, m, interleaved)
+        held = {id(d): d.nbytes for pair in tables for table in pair for d in table.dists}
+        plans = [plan for t in terms for plan in (t.side_a, t.side_b)]
+        assert cutter.branch_table_bytes(plans) == sum(held.values())
 
     @pytest.mark.parametrize("estimator", [sample_circuit_mode, preestimation_mode])
     def test_prebuilt_tables_byte_identical(self, estimator):
@@ -251,6 +335,61 @@ class TestTermTables:
         tables = sampler.term_tables(terms, va, vb)
         with pytest.raises(ValueError, match="verified"):
             estimator(terms, ShotBudget(100, 0.5, d.kappa), 0, va, vb, decomposition=d, tables=tables)
+
+
+ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**127]
+# key tails after the head: (i, side) in pre-estimation, (i,) in circuit sampling
+KEY_TAILS = {2: lambda terms: [(i, side) for i in range(terms) for side in (0, 1)],
+             1: lambda terms: [(i,) for i in range(terms)]}
+
+
+def numpy_stream(seed, key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+class TestTermStreams:
+    """The one-pass streams are numpy's: Generator(PCG64(SeedSequence(seed, key)))."""
+
+    @pytest.mark.parametrize("head", list(KEY_TAILS))
+    @pytest.mark.parametrize("seed", ENTROPIES)
+    def test_seed_words(self, seed, head):
+        tails = KEY_TAILS[head](40)
+        expected = [tuple(int(w) for w in np.random.SeedSequence(seed, spawn_key=(head, *t))
+                          .generate_state(4, np.uint64)) for t in tails]
+        for terms in range(1, 41):
+            some = KEY_TAILS[head](terms)
+            assert sampler._seed_words(seed, head, some) == expected[:len(some)]
+
+    @pytest.mark.parametrize("head", list(KEY_TAILS))
+    @pytest.mark.parametrize("seed", ENTROPIES)
+    def test_bit_generator_state(self, seed, head):
+        tails = KEY_TAILS[head](40)
+        for tail, rng in zip(tails, sampler._term_streams(seed, head, tails)):
+            assert rng.bit_generator.state == numpy_stream(seed, (head, *tail)).bit_generator.state
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
+    def test_seeds_numpy_refuses_are_refused(self, seed, error):
+        with pytest.raises(error):
+            numpy_stream(seed, (2, 0, 0))
+        with pytest.raises(error):
+            next(sampler._term_streams(seed, 2, [(0, 0)]))
+
+    def test_numpy_integer_seed(self):
+        tails = KEY_TAILS[2](3)
+        assert (sampler._seed_words(np.int64(2**62 + 5), 2, tails)
+                == sampler._seed_words(2**62 + 5, 2, tails))
+
+    @pytest.mark.parametrize("head", list(KEY_TAILS))
+    @pytest.mark.parametrize("seed", ENTROPIES)
+    def test_first_multinomial_draws(self, seed, head):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        for terms in (1, 17, 40):
+            tails = KEY_TAILS[head](terms)
+            for tail, rng in zip(tails, sampler._term_streams(seed, head, tails)):
+                expected = numpy_stream(seed, (head, *tail))
+                # the same parameters in every stream reuse the generator's binomial set-up
+                for shots in (10_000, 10_000, 37):
+                    assert np.array_equal(rng.multinomial(shots, probs), expected.multinomial(shots, probs))
 
 
 def reference_side_sum(branches, values, shots, rng):
@@ -300,7 +439,8 @@ class TestSideTable:
         projector = [cutter.Branch(p, sign, dist) for p, sign, dist in zip((0.5, 0.3, 0.2), (1.0, 0.0, -1.0), dists)]
         sides.append((sides[0][0], (projector, vb)))
         for i, (side_a, side_b) in enumerate(sides):
-            table_a, table_b = (sampler.SideTable.from_branches(*side) for side in (side_a, side_b))
+            table_a, table_b = (sampler.SideTable.from_branches(normalised(branches), values)
+                                for branches, values in (side_a, side_b))
             for shots in (1, 37, 5000):
                 for table, side in ((table_a, side_a), (table_b, side_b)):
                     assert (sampler._sample_side_sum(table, shots, np.random.default_rng(i))
