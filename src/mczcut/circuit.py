@@ -90,10 +90,6 @@ def h(q: int) -> Gate:
     return Gate("H", (q,))
 
 
-def s(q: int) -> Gate:
-    return Gate("S", (q,))
-
-
 def z(q: int) -> Gate:
     return Gate("Z", (q,))
 

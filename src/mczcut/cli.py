@@ -23,10 +23,12 @@ Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
 --seed is absent.
 
-``sample`` prints the exact value next to the estimate.  It comes from the
-MCZ's rank-two form (``cutter.final_state``), which runs each side on its
-own, never the full register.  Either value prints as +0.000000 when it
-rounds to zero at six decimals.
+``sample`` certifies every decomposition it samples from: a cut above the
+certified order ``cutter.MAX_CERTIFIED_ORDER`` is refused, never sampled
+uncertified.  It prints the exact value next to the estimate.  That value
+comes from the MCZ's rank-two form (``cutter.final_state``), which runs each
+side on its own, never the full register.  Either value prints as +0.000000
+when it rounds to zero at six decimals.
 """
 
 from __future__ import annotations
@@ -187,8 +189,7 @@ def _signed6(value: float) -> str:
 
 
 def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
-               delta: float = 0.05, out: str | None = None, force: bool = False,
-               stream=None) -> int:
+               delta: float = 0.05, out: str | None = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     try:
         circuit = parse(Path(config_path).read_text())
@@ -211,27 +212,25 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
             sampler.check_term_floor(budget.total, len(decomposition.terms), epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if not force and cut.order > cutter.MAX_CERTIFIED_ORDER:
-        raise InputError(f"cut of order {cut.order} exceeds the certified order "
-                         f"{cutter.MAX_CERTIFIED_ORDER}; pass --force to sample uncertified")
+    if cut.order > cutter.MAX_CERTIFIED_ORDER:
+        raise InputError(f"cut of order {cut.order} exceeds the certified order {cutter.MAX_CERTIFIED_ORDER}")
     terms = cutter.embed(decomposition, cut)
     table_bytes = cutter.branch_table_bytes([plan for t in terms for plan in (t.side_a, t.side_b)])
     if table_bytes > MAX_TABLE_BYTES:
         raise InputError(f"the branch tables of {config_path} would hold {table_bytes / 2**30:.1f} GiB, "
                          f"above the {MAX_TABLE_BYTES / 2**30:g} GiB sample builds")
-    if not force:
-        result = cutter.verify(decomposition)
-        if not result.passed:
-            raise InputError(f"decomposition ({cut.k},{cut.m}) failed certification: "
-                             f"residual {result.residual:.3e}")
+    result = cutter.verify(decomposition)
+    if not result.passed:
+        raise InputError(f"decomposition ({cut.k},{cut.m}) failed certification: "
+                         f"residual {result.residual:.3e}")
     observable = Observable.z_string(circuit.num_qubits)
     values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
     if mode == "shots":
         record = sampler.sample_circuit_mode(terms, budget, seed, values_a.values, values_b.values,
-                                             decomposition=decomposition, force=force)
+                                             decomposition=decomposition)
     else:
         record = sampler.preestimation_mode(terms, budget, seed, values_a.values, values_b.values,
-                                            decomposition=decomposition, force=force)
+                                            decomposition=decomposition)
     exact = densesim.expval(cutter.final_state(cut), observable)
     if out:  # before the result line, so an unwritable path prints nothing
         _write(Path(out), record.to_json() + "\n")
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true", help="skip decomposition verification")
 
     p = sub.add_parser("experiment", help="uncut/cut comparison dataset")
     p.add_argument("--config", required=True, help="experiment config document (JSON)")
@@ -322,7 +320,7 @@ def _dispatch(args) -> int:
         return cmd_kappa_table()
     if args.command == "sample":
         return cmd_sample(args.config, args.mode, args.epsilon,
-                          _default_seed(args.seed), args.delta, args.out, args.force)
+                          _default_seed(args.seed), args.delta, args.out)
     if args.command == "experiment":
         return cmd_experiment(args.config, args.out, args.workers)
     raise SystemExit(f"unknown command {args.command!r}")

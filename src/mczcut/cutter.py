@@ -23,17 +23,19 @@ decomposition is certified by comparing sum_j a_j Lambda_A,j (x) Lambda_B,j with
 u u^H of the MCZ diagonal u, up to order 10.  At orders up to 4 the dense
 superoperator oracle in densesim cross-checks every certificate independently.
 Certification and sampling read the same expansion (w_i, d_i) of
-``LocalOperation.signed_diagonal_terms``: ``side_branches`` runs each of its
+``LocalOperation.signed_diagonal_terms``: ``term_tables`` runs each of its
 terms as one execution branch, so the sampled maps are the certified ones.
 
 ``embed`` remaps each side's gates once, so all plans of a side share one
 pre-MCZ and one post-MCZ gate tuple and differ only in their operation.
-``shared_branches`` uses that: over many plans it runs each side's pre-MCZ
-gates once and simulates each distinct branch once, a branch being a side
-with a diagonal (keyed by its bytes) or a projective outcome.  So a
-projector and a signed projector share their outcome simulations, and a
-Z-layer shares its simulation with the same layer inside a Z-mixture.
-``branch_table_bytes`` counts those distinct branches from the plans alone.
+``term_tables`` uses that to build the sampler's branch tables in one pass:
+it runs each side's pre-MCZ gates once and simulates and normalises each
+distinct branch once, a branch being a side with a diagonal (keyed by its
+bytes) or a projective outcome.  So a projector and a signed projector share
+their outcome simulations, and a Z-layer shares its simulation with the same
+layer inside a Z-mixture.  ``branch_table_bytes`` counts those distinct
+branches from the plans alone, and ``exact_cut_expectation`` sums the
+tables' exact means.
 
 ``final_state`` gives the cut circuit's exact final state without the
 decomposition, from the MCZ's rank-two form I - 2 P_A (x) P_B and side-sized
@@ -48,11 +50,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import densesim, zhcalc
-from .circuit import Circuit, Gate, PartitionedCut
+from .circuit import ANGLE_TOL, Circuit, Gate, PartitionedCut
 
 THETA_SET = (-math.pi / 2, 0.0, math.pi / 2, math.pi)
 COEFF_TOL = 1e-14
-ANGLE_TOL = 1e-12
 
 # LocalOperation variants.  "mcp" and "zlayer" are diagonal-phase unitaries;
 # "zmix" is the uniform mixture of all 2^n Z-layers, "zmix_rest" the uniform
@@ -224,21 +225,14 @@ class BlockVector:
     kind: str  # "phase" | "minus"
     theta: float = 0.0
 
-    def vector(self) -> np.ndarray:
-        if self.kind == "phase":
-            return zhcalc.phase_state(self.theta)
-        return zhcalc.minus_vector()
-
     def outer(self) -> np.ndarray:
-        """Exact rank-one outer product |v><v| (integer entries for canonical thetas)."""
+        """Exact rank-one outer product |v><v|, with integer entries: a phase
+        state's theta is one of THETA_SET, the only angles
+        ``decompose_choi_block`` builds."""
         if self.kind == "minus":
             return np.array([[1, -1], [-1, 1]], dtype=complex)
-        exact = {0.0: (1, 0), math.pi / 2: (0, 1), -math.pi / 2: (0, -1), math.pi: (-1, 0)}
-        for theta, (c, s) in exact.items():
-            if abs(self.theta - theta) < ANGLE_TOL:
-                return np.array([[1 + c, 1j * s], [-1j * s, 1 - c]], dtype=complex)
-        v = self.vector()
-        return np.outer(v, v.conj())
+        c, s = {0.0: (1, 0), math.pi / 2: (0, 1), -math.pi / 2: (0, -1), math.pi: (-1, 0)}[self.theta]
+        return np.array([[1 + c, 1j * s], [-1j * s, 1 - c]], dtype=complex)
 
 
 @dataclass
@@ -549,19 +543,35 @@ def embed(decomposition: Decomposition, cut: PartitionedCut) -> list[EmbeddedTer
 # Exact branch semantics of an embedded subcircuit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Branch:
-    """One execution branch of a subcircuit plan.
+@dataclass
+class SideTable:
+    """What the samplers draw from for one subcircuit plan and its side's
+    observable values, computed once per table rather than per estimate:
 
-    ``prob`` is the branch selection probability (mixture weight or Born
-    probability of a measurement outcome), ``sign`` the outcome's xi (1 for
-    a phase-diagonal branch), and ``distribution`` the final bitstring
-    distribution given the branch.
+    * ``probs``: the normalised branch probabilities;
+    * ``dists``: each branch's normalised outcome distribution;
+    * ``signed``/``signed_sq``: each branch's sign times the observable
+      values, and its square (one array per distinct sign).
+
+    A branch is one term (w, d) of the operation's signed-diagonal expansion,
+    the one certification reads: a phase diagonal d is applied with
+    probability w and sign 1; a projective term l measures outcome l with its
+    Born probability and carries sign w (zero-probability outcomes are
+    skipped).
     """
 
-    prob: float
-    sign: float
-    distribution: np.ndarray
+    probs: np.ndarray
+    dists: list[np.ndarray]
+    signed: list[np.ndarray]
+    signed_sq: list[np.ndarray]
+
+    def mean(self) -> float:
+        """Exact expectation of the side's observable over its branches."""
+        return float(sum(p * float(dist @ vals)
+                         for p, dist, vals in zip(self.probs, self.dists, self.signed)))
+
+
+TermTables = list[tuple[SideTable, SideTable]]
 
 
 def _side_key(plan: SubcircuitPlan) -> tuple:
@@ -580,45 +590,57 @@ def _branch_terms(plan: SubcircuitPlan) -> list[tuple[float, int | bytes, np.nda
             for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms())]
 
 
-def shared_branches(plans: list[SubcircuitPlan]) -> list[list[Branch]]:
-    """``side_branches`` of every plan, each simulation made once.
+def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> TermTables:
+    """The (A, B) branch tables of every term.
 
     Each side's gates before the cut run once.  Each distinct branch, a side
-    with a diagonal's bytes or a projective outcome, is simulated once, so
-    equal branches of different plans share one distribution array; plans
-    with the same side and operation get the same list.  The simulation calls
-    are those of a single plan, so every distribution keeps its bits.
+    with a diagonal's bytes or a projective outcome, is simulated and
+    normalised once, so tables share the distribution arrays of equal
+    branches.  Each distinct plan and values array gets one table.  The
+    simulation calls are those of a single plan, so every distribution keeps
+    its bits.  Tables depend only on the subcircuit plans, never on a seed,
+    so one list serves every estimate over the same terms (the ``tables=``
+    keyword of the sampler's estimators).
     """
     sides: dict[tuple, tuple[densesim.StateVector, Circuit]] = {}
     simulated: dict[tuple, tuple[float | None, np.ndarray] | None] = {}
-    lists: dict[tuple, list[Branch]] = {}
-    out = []
-    for plan in plans:
+    # keyed by the values too: an A-side and a B-side plan without gates share a side
+    tables: dict[tuple, SideTable] = {}
+
+    def table(plan: SubcircuitPlan, values: np.ndarray) -> SideTable:
         side = _side_key(plan)
-        if side + (plan.op,) not in lists:
-            if side not in sides:
-                sides[side] = (densesim.run(Circuit(plan.num_qubits, plan.pre_gates)),
-                               Circuit(plan.num_qubits, plan.post_gates))
-            pre_state, post = sides[side]
-            projective = plan.op.variant in PROJECTIVE_VARIANTS
-            branches = []
-            for weight, key, diagonal in _branch_terms(plan):
-                if (side, key) not in simulated:
-                    simulated[side, key] = _simulate_branch(plan, pre_state, post, key, diagonal)
-                if simulated[side, key] is None:
-                    continue  # zero-probability outcome
-                prob, distribution = simulated[side, key]
-                branches.append(Branch(prob, weight, distribution) if projective
-                                else Branch(weight, 1.0, distribution))
-            lists[side + (plan.op,)] = branches
-        out.append(lists[side + (plan.op,)])
-    return out
+        table_key = side + (plan.op, id(values))
+        if table_key in tables:
+            return tables[table_key]
+        if side not in sides:
+            sides[side] = (densesim.run(Circuit(plan.num_qubits, plan.pre_gates)),
+                           Circuit(plan.num_qubits, plan.post_gates))
+        pre_state, post = sides[side]
+        projective = plan.op.variant in PROJECTIVE_VARIANTS
+        probs, dists, signs = [], [], []
+        for weight, key, diagonal in _branch_terms(plan):
+            if (side, key) not in simulated:
+                simulated[side, key] = _simulate_branch(plan, pre_state, post, key, diagonal)
+            if simulated[side, key] is None:
+                continue  # zero-probability outcome
+            prob, distribution = simulated[side, key]
+            probs.append(prob if projective else weight)
+            signs.append(weight if projective else 1.0)
+            dists.append(distribution)
+        signed = {sign: sign * values for sign in signs}
+        squares = {sign: vals**2 for sign, vals in signed.items()}
+        probs = np.array(probs)
+        tables[table_key] = SideTable(probs / probs.sum(), dists, [signed[sign] for sign in signs],
+                                      [squares[sign] for sign in signs])
+        return tables[table_key]
+
+    return [(table(t.side_a, values_a), table(t.side_b, values_b)) for t in terms]
 
 
 def _simulate_branch(plan: SubcircuitPlan, pre_state: densesim.StateVector, post: Circuit,
                      key: int | bytes, diagonal: np.ndarray) -> tuple[float | None, np.ndarray] | None:
-    """(Born probability or None, final distribution) of one branch; None for
-    a projective outcome of zero probability."""
+    """(Born probability or None, normalised final distribution) of one
+    branch; None for a projective outcome of zero probability."""
     if plan.op.variant in PROJECTIVE_VARIANTS:
         try:
             state, prob = densesim.project(pre_state, plan.op_qubits, key)
@@ -626,24 +648,14 @@ def _simulate_branch(plan: SubcircuitPlan, pre_state: densesim.StateVector, post
             return None
     else:
         state, prob = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal), None
-    return prob, densesim.run(post, state).probabilities()
-
-
-def side_branches(plan: SubcircuitPlan) -> list[Branch]:
-    """Enumerate the execution branches of one subcircuit plan exactly.
-
-    Each term (w, d) of the operation's signed-diagonal expansion, the one
-    certification reads, is one branch.  A phase diagonal d is applied with
-    probability w and sign 1; a projective term l measures outcome l with its
-    Born probability and carries sign w (zero-probability outcomes are
-    skipped).
-    """
-    return shared_branches([plan])[0]
+    distribution = densesim.run(post, state).probabilities()
+    distribution /= distribution.sum()  # in place: the bits of distribution / distribution.sum()
+    return prob, distribution
 
 
 def branch_table_bytes(plans: list[SubcircuitPlan]) -> int:
-    """Bytes of the distinct branch distributions ``shared_branches`` holds
-    for these plans, from the plans alone: per side of s qubits, distinct
+    """Bytes of the distinct branch distributions ``term_tables`` holds for
+    these plans, from the plans alone: per side of s qubits, distinct
     branches x 2^s x 8.  It counts every projective outcome, so it is exact
     unless an outcome has zero probability, and never too small."""
     distinct = {_side_key(plan) + (plan.op,): plan for plan in plans}.values()
@@ -651,22 +663,10 @@ def branch_table_bytes(plans: list[SubcircuitPlan]) -> int:
     return sum(8 * 2**side[0] for side, _ in branches)
 
 
-def _expectation(branches: list[Branch], values: np.ndarray) -> float:
-    return float(sum(b.prob * b.sign * float(b.distribution @ values) for b in branches))
-
-
-def exact_side_expectation(plan: SubcircuitPlan, values: np.ndarray) -> float:
-    """Exact expectation of a diagonal observable over one subcircuit plan."""
-    return _expectation(side_branches(plan), values)
-
-
 def exact_cut_expectation(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> float:
     """Exact weighted reconstruction sum over all embedded term pairs."""
-    branches = shared_branches([plan for t in terms for plan in (t.side_a, t.side_b)])
-    total = 0.0
-    for term, branches_a, branches_b in zip(terms, branches[0::2], branches[1::2]):
-        total += term.coefficient * _expectation(branches_a, values_a) * _expectation(branches_b, values_b)
-    return total
+    return sum(term.coefficient * table_a.mean() * table_b.mean()
+               for term, (table_a, table_b) in zip(terms, term_tables(terms, values_a, values_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def _prepare_circuits(config: ExperimentConfig):
         values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
         prepared.append({
             "terms": terms,
-            "tables": sampler.term_tables(terms, values_a.values, values_b.values),
+            "tables": cutter.term_tables(terms, values_a.values, values_b.values),
             "values_a": values_a.values,
             "values_b": values_b.values,
             "exact": densesim.expval(state, observable),

@@ -10,10 +10,9 @@ of the budget and then combines them as sum_i a_i <O_A>_i <O_B>_i.
 Sampling is executed by aggregated multinomial draws over the exact branch
 and outcome distributions, which is statistically identical to a per-shot
 loop, deterministic for a fixed seed, and fast enough for the 10^8-shot
-budgets.  The branch tables depend only on the subcircuit plans:
-``term_tables`` builds each distinct plan once, from one pre-MCZ run per side
-and one simulation per distinct branch, and a caller that runs many
-estimates over the same terms builds them once and passes them in.
+budgets.  The branch tables (``cutter.term_tables``, imported here) depend
+only on the subcircuit plans; a caller that runs many estimates over the
+same terms builds them once and passes them in.
 
 Randomness uses PCG64 streams keyed by stable seed-sequence spawn keys, so
 results do not depend on execution order or worker count.  The stream of
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutter import Branch, Decomposition, EmbeddedTerm, shared_branches
+from .cutter import Decomposition, EmbeddedTerm, SideTable, TermTables, term_tables
 
 
 @dataclass(frozen=True)
@@ -160,63 +159,6 @@ class EstimateRecord:
 # ---------------------------------------------------------------------------
 # Aggregated sampling over exact branch tables
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SideTable:
-    """What the samplers draw from for one subcircuit plan and its side's
-    observable values, computed once per table rather than per estimate:
-
-    * ``probs``: the normalised branch probabilities;
-    * ``dists``: each branch's normalised outcome distribution;
-    * ``signed``/``signed_sq``: each branch's sign times the observable
-      values, and its square (one array per distinct sign).
-    """
-
-    probs: np.ndarray
-    dists: list[np.ndarray]
-    signed: list[np.ndarray]
-    signed_sq: list[np.ndarray]
-
-    @staticmethod
-    def from_branches(branches: list[Branch], values: np.ndarray) -> "SideTable":
-        """The table of branches whose distributions are normalised already."""
-        probs = np.array([b.prob for b in branches])
-        signed = {b.sign: b.sign * values for b in branches}
-        squares = {sign: vals**2 for sign, vals in signed.items()}
-        return SideTable(probs / probs.sum(), [b.distribution for b in branches],
-                         [signed[b.sign] for b in branches],
-                         [squares[b.sign] for b in branches])
-
-
-TermTables = list[tuple[SideTable, SideTable]]
-
-
-def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> TermTables:
-    """The (A, B) branch tables of every term.
-
-    ``cutter.shared_branches`` runs each side's gates before the cut once and
-    simulates each distinct branch once; each distinct plan gets one table,
-    and tables share the arrays of equal branches.  Tables depend only on the
-    subcircuit plans, never on a seed, so one list serves every estimate over
-    the same terms (the ``tables=`` keyword of the estimators).
-    """
-    branch_lists = shared_branches([plan for t in terms for plan in (t.side_a, t.side_b)])
-    # Normalise each distinct distribution once, in place: the branches are
-    # this call's own, and x /= x.sum() gives the bits of x / x.sum().
-    for distribution in {id(b.distribution): b.distribution for bs in branch_lists for b in bs}.values():
-        distribution /= distribution.sum()
-    # keyed by the values too: an A-side and a B-side plan without gates share a list
-    tables: dict[tuple[int, int], SideTable] = {}
-
-    def table(branches: list[Branch], values: np.ndarray) -> SideTable:
-        key = id(branches), id(values)
-        if key not in tables:
-            tables[key] = SideTable.from_branches(branches, values)
-        return tables[key]
-
-    return [(table(a, values_a), table(b, values_b))
-            for a, b in zip(branch_lists[0::2], branch_lists[1::2])]
-
 
 def _rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
@@ -387,14 +329,14 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
 def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
                         values_a: np.ndarray, values_b: np.ndarray,
                         decomposition: Decomposition | None = None,
-                        force: bool = False, tables: TermTables | None = None) -> EstimateRecord:
+                        tables: TermTables | None = None) -> EstimateRecord:
     """Per-shot estimator: draw term i with p(i) = |a_i| / kappa, run the pair,
     score kappa * sign(a_i) times the signed product of the two outcomes.
 
     ``tables`` is ``term_tables(terms, values_a, values_b)`` built in advance;
     it is built here when omitted."""
-    if decomposition is not None and not decomposition.verified and not force:
-        raise ValueError("decomposition has not been verified; pass force=True to override")
+    if decomposition is not None and not decomposition.verified:
+        raise ValueError("decomposition has not been verified")
     coeffs = np.array([t.coefficient for t in terms])
     kap = float(np.abs(coeffs).sum())
     probs = np.abs(coeffs) / kap
@@ -429,14 +371,14 @@ def sample_circuit_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int
 def preestimation_mode(terms: list[EmbeddedTerm], budget: ShotBudget, seed: int,
                        values_a: np.ndarray, values_b: np.ndarray,
                        decomposition: Decomposition | None = None,
-                       force: bool = False, tables: TermTables | None = None) -> EstimateRecord:
+                       tables: TermTables | None = None) -> EstimateRecord:
     """Estimate each subcircuit expectation with its ``allocate`` share of
     the budget, then combine as sum_i a_i <O_A>_i <O_B>_i.
 
     ``tables`` is ``term_tables(terms, values_a, values_b)`` built in advance;
     it is built here when omitted."""
-    if decomposition is not None and not decomposition.verified and not force:
-        raise ValueError("decomposition has not been verified; pass force=True to override")
+    if decomposition is not None and not decomposition.verified:
+        raise ValueError("decomposition has not been verified")
     coeffs = np.array([t.coefficient for t in terms])
     kap = float(np.abs(coeffs).sum())
     shots = allocate(terms, budget.total)

@@ -561,7 +561,10 @@ class TestMainEntry:
         assert len(err.splitlines()) == 1 and cli.SEED_ENV_VAR in err
 
     def test_console_entry_point(self, tmp_path):
+        # the child imports the package under test, not whatever is on its own path
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-m", "mczcut.cli", "kappa-table"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "CZ" in result.stdout

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from mczcut import cutter, densesim
 from mczcut.circuit import (Circuit, Gate, Observable, cnot, cz, find_cut, h,
                             mcz, parse, serialize)
-from mczcut.cutter import (DecompositionTerm, LocalOperation, SubcircuitPlan,
+from mczcut.cutter import (DecompositionTerm, EmbeddedTerm, LocalOperation,
+                           SubcircuitPlan, branch_table_bytes,
                            channel_multiplier, decompose_ccz,
                            decompose_choi_block, decompose_mcz, embed,
                            exact_cut_expectation, final_state,
-                           rewrite_projector, side_branches, verify)
+                           rewrite_projector, term_tables, verify)
 from mczcut.zhcalc import choi_block_matrix
 from test_circuit import circuits
 
@@ -290,7 +291,9 @@ class TestBranchesRealiseCertifiedChannel:
         post = [Gate(("RX", "RY")[rng.integers(2)], (q,), float(rng.uniform(0, 2 * math.pi)))
                 for q in range(width)]
         plan = SubcircuitPlan(width, tuple(pre), op, tuple(range(1, width)), tuple(post), tuple(range(width)))
-        sampled = sum(b.prob * b.sign * b.distribution for b in side_branches(plan))
+        ones = np.ones(2**width)
+        [(table, _)] = term_tables([EmbeddedTerm(1.0, plan, plan)], ones, ones)
+        sampled = sum(p * sign * dist for p, sign, dist in zip(table.probs, table.signed, table.dists))
 
         psi = densesim.run(Circuit(width, tuple(pre))).amplitudes
         rho = np.outer(psi, psi.conj())
@@ -439,10 +442,28 @@ class TestFinalState:
     # RY(2e-8) leaves qubit 0 in |1> with probability 1e-16, below the 1e-14
     # at which densesim.project refuses an outcome; RY(0) with probability 0.
     # A run that skipped that outcome would miss 1e-8 in amplitude.
-    @pytest.mark.parametrize("angle", [2e-8, 0.0])
-    def test_side_with_negligible_all_ones_probability(self, angle):
+    @staticmethod
+    def negligible_all_ones_circuit(angle):
         assert math.sin(angle / 2) ** 2 < 1e-14
         gates = (Gate("RY", (0,), angle), h(1), h(2), Gate("MCZ", (0, 1, 2)), h(0), h(1), cnot(2, 1))
-        circuit = Circuit(3, gates, ("A", "B", "B"))
+        return Circuit(3, gates, ("A", "B", "B"))
+
+    @pytest.mark.parametrize("angle", [2e-8, 0.0])
+    def test_side_with_negligible_all_ones_probability(self, angle):
+        circuit = self.negligible_all_ones_circuit(angle)
         expected = densesim.run(circuit).amplitudes
         assert np.max(np.abs(final_state(find_cut(circuit)).amplitudes - expected)) < 1e-12
+
+    @pytest.mark.parametrize("angle", [2e-8, 0.0])
+    def test_skipped_projective_outcome(self, angle):
+        # the A side's projective terms skip outcome 1: the reconstruction
+        # stays exact, and the byte count still covers every held table
+        circuit = self.negligible_all_ones_circuit(angle)
+        terms = embed(decompose_mcz(1, 2), find_cut(circuit))
+        observable = Observable.z_string(3)
+        va, vb = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
+        reconstructed = exact_cut_expectation(terms, va.values, vb.values)
+        assert abs(reconstructed - densesim.expval(densesim.run(circuit), observable)) < 1e-12
+        tables = term_tables(terms, va.values, vb.values)
+        held = {id(d): d.nbytes for pair in tables for table in pair for d in table.dists}
+        assert branch_table_bytes([plan for t in terms for plan in (t.side_a, t.side_b)]) > sum(held.values())

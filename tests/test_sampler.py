@@ -1,5 +1,6 @@
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -153,7 +154,6 @@ class TestCircuitSamplingMode:
         budget = ShotBudget(100, 0.5, d.kappa, mode="circuit_sampling")
         with pytest.raises(ValueError, match="verified"):
             sample_circuit_mode(terms, budget, 0, va.values, vb.values, decomposition=d)
-        sample_circuit_mode(terms, budget, 0, va.values, vb.values, decomposition=d, force=True)
 
     def test_identity_term_reduces_to_plain_sampling(self):
         # kappa = 1 degenerate case: independent subcircuits, no cut gate
@@ -161,8 +161,7 @@ class TestCircuitSamplingMode:
         plan_b = SubcircuitPlan(1, (rx(0, 0.8),), LocalOperation.identity(1), (0,), (), (1,))
         terms = [EmbeddedTerm(1.0, plan_a, plan_b)]
         obs1 = Observable.z_string(1)
-        exact = (cutter.exact_side_expectation(plan_a, obs1.values)
-                 * cutter.exact_side_expectation(plan_b, obs1.values))
+        exact = exact_cut_expectation(terms, obs1.values, obs1.values)
         budget = ShotBudget(200_000, 0.01, 1.0, mode="circuit_sampling")
         record = sample_circuit_mode(terms, budget, 11, obs1.values, obs1.values)
         # 3 sigma of a product of two +-1 means at 2e5 shots
@@ -219,9 +218,23 @@ class TestPreestimationMode:
         assert a.encode() == b.encode()
 
 
+# One execution branch of a plan: selection probability (mixture weight or
+# Born probability), sign xi, and final outcome distribution.
+Branch = namedtuple("Branch", "prob sign distribution")
+
+
 def normalised(branches):
     """The branches with each distribution divided by its sum."""
-    return [cutter.Branch(b.prob, b.sign, b.distribution / b.distribution.sum()) for b in branches]
+    return [Branch(b.prob, b.sign, b.distribution / b.distribution.sum()) for b in branches]
+
+
+def reference_table(branches, values):
+    """The side table of branches whose distributions are normalised already."""
+    probs = np.array([b.prob for b in branches])
+    signed = {b.sign: b.sign * values for b in branches}
+    squares = {sign: vals**2 for sign, vals in signed.items()}
+    return cutter.SideTable(probs / probs.sum(), [b.distribution for b in branches],
+                            [signed[b.sign] for b in branches], [squares[b.sign] for b in branches])
 
 
 def reference_side_branches(plan):
@@ -239,7 +252,7 @@ def reference_side_branches(plan):
         else:
             state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
             prob, sign = weight, 1.0
-        branches.append(cutter.Branch(prob, sign, densesim.run(post, state).probabilities()))
+        branches.append(Branch(prob, sign, densesim.run(post, state).probabilities()))
     return branches
 
 
@@ -269,7 +282,7 @@ def cut_tables(k, m, interleaved):
     circuit = random_cut_circuit(k, m, seed=10 * k + m, interleaved=interleaved)
     terms = embed(decompose_mcz(k, m), find_cut(circuit))
     va, vb = Observable.z_string(circuit.num_qubits).factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
-    return terms, va.values, vb.values, sampler.term_tables(terms, va.values, vb.values)
+    return terms, va.values, vb.values, cutter.term_tables(terms, va.values, vb.values)
 
 
 class TestTermTables:
@@ -282,7 +295,7 @@ class TestTermTables:
         assert len(side_runs.pre) == 2 < len(set(side_runs.plans))
         assert len(side_runs.post) == side_runs.distinct_branches()
         # prebuilt tables: an estimate simulates nothing
-        tables = sampler.term_tables(terms, va, vb)
+        tables = cutter.term_tables(terms, va, vb)
         del side_runs.pre[:], side_runs.post[:]
         preestimation_mode(terms, ShotBudget(6000, 0.1, d.kappa), 1, va, vb, decomposition=d, tables=tables)
         assert side_runs.pre == side_runs.post == []
@@ -293,7 +306,7 @@ class TestTermTables:
         terms, va, vb, tables = cut_tables(k, m, interleaved)
         for term, pair in zip(terms, tables):
             for plan, table, values in zip((term.side_a, term.side_b), pair, (va, vb)):
-                expected = sampler.SideTable.from_branches(normalised(reference_side_branches(plan)), values)
+                expected = reference_table(normalised(reference_side_branches(plan)), values)
                 assert table.probs.tobytes() == expected.probs.tobytes()
                 for field in ("dists", "signed", "signed_sq"):
                     got, want = getattr(table, field), getattr(expected, field)
@@ -304,9 +317,9 @@ class TestTermTables:
         # share branches; each table still scores its own side's values
         terms = embed(decompose_mcz(1, 1), find_cut(Circuit(2, (cz(0, 1),), ("A", "B"))))
         va, vb = np.array([1.0, -1.0]), np.array([2.0, 3.0])
-        for term, (table_a, table_b) in zip(terms, sampler.term_tables(terms, va, vb)):
+        for term, (table_a, table_b) in zip(terms, cutter.term_tables(terms, va, vb)):
             for plan, table, values in ((term.side_a, table_a, va), (term.side_b, table_b, vb)):
-                expected = sampler.SideTable.from_branches(normalised(reference_side_branches(plan)), values)
+                expected = reference_table(normalised(reference_side_branches(plan)), values)
                 assert [s.tobytes() for s in table.signed] == [s.tobytes() for s in expected.signed]
 
     @pytest.mark.parametrize("interleaved", [False, True], ids=["blocked", "interleaved"])
@@ -322,7 +335,7 @@ class TestTermTables:
     def test_prebuilt_tables_byte_identical(self, estimator):
         _, d, terms, va, vb, _ = ccz_setup()
         budget = ShotBudget(6000, 0.1, d.kappa)
-        tables = sampler.term_tables(terms, va, vb)
+        tables = cutter.term_tables(terms, va, vb)
         for seed in (0, 13):
             built_here = estimator(terms, budget, seed, va, vb, decomposition=d).to_json()
             prebuilt = estimator(terms, budget, seed, va, vb, decomposition=d, tables=tables).to_json()
@@ -332,7 +345,7 @@ class TestTermTables:
     def test_prebuilt_tables_keep_certification_gate(self, estimator):
         _, _, terms, va, vb = bell_setup()
         d = decompose_mcz(1, 1)  # never verified
-        tables = sampler.term_tables(terms, va, vb)
+        tables = cutter.term_tables(terms, va, vb)
         with pytest.raises(ValueError, match="verified"):
             estimator(terms, ShotBudget(100, 0.5, d.kappa), 0, va, vb, decomposition=d, tables=tables)
 
@@ -433,13 +446,14 @@ def reference_joint_products(side_a, side_b, shots, rng):
 class TestSideTable:
     def test_samplers_match_per_call_normalisation(self):
         _, _, terms, va, vb, _ = ccz_setup()
-        sides = [((cutter.side_branches(t.side_a), va), (cutter.side_branches(t.side_b), vb)) for t in terms]
+        sides = [((reference_side_branches(t.side_a), va), (reference_side_branches(t.side_b), vb))
+                 for t in terms]
         # a projector side: one sign-0 branch, sampled like the others
         dists = np.random.default_rng(4).uniform(size=(3, vb.size))
-        projector = [cutter.Branch(p, sign, dist) for p, sign, dist in zip((0.5, 0.3, 0.2), (1.0, 0.0, -1.0), dists)]
+        projector = [Branch(p, sign, dist) for p, sign, dist in zip((0.5, 0.3, 0.2), (1.0, 0.0, -1.0), dists)]
         sides.append((sides[0][0], (projector, vb)))
         for i, (side_a, side_b) in enumerate(sides):
-            table_a, table_b = (sampler.SideTable.from_branches(normalised(branches), values)
+            table_a, table_b = (reference_table(normalised(branches), values)
                                 for branches, values in (side_a, side_b))
             for shots in (1, 37, 5000):
                 for table, side in ((table_a, side_a), (table_b, side_b)):
@@ -459,9 +473,10 @@ class TestJointScoring:
         circuit = Circuit(7, tuple(gates), ("A",) * 3 + ("B",) * 4)
         terms = embed(decompose_mcz(2, 3), find_cut(circuit))
         va, vb = Observable.z_string(7).factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
-        tables = sampler.term_tables(terms, va.values, vb.values)
+        tables = cutter.term_tables(terms, va.values, vb.values)
         for term, (table_a, table_b) in zip(terms, tables):
-            sides = ((cutter.side_branches(term.side_a), va.values), (cutter.side_branches(term.side_b), vb.values))
+            sides = ((reference_side_branches(term.side_a), va.values),
+                     (reference_side_branches(term.side_b), vb.values))
             for seed in range(4):
                 assert (sampler._sample_joint_products(table_a, table_b, 20_000, np.random.default_rng(seed))
                         == reference_joint_products(*sides, 20_000, np.random.default_rng(seed)))
