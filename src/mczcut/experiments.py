@@ -5,10 +5,12 @@ split proportionally across the two partitions, half before and half after a
 central MCZ spanning all qubits, with rotation angles uniform in [0, 2pi).
 A candidate is rejected until removing the MCZ changes the exact Z-string
 expectation by more than the impact threshold, so the gate being cut always
-matters for the measured observable.  Both values share the candidate's
-prefix: the gates before the MCZ are simulated once, and only the gates after
-it run twice.  The accepted circuit's final state comes out of that test, so
-an experiment never simulates an accepted circuit again.
+matters for the measured observable.  A cheap side-local screen rejects the
+candidates clearly below the threshold; only the others, in practice just the
+accepted one, run the exact test on the dense simulator.  There both values
+share the candidate's prefix: the gates before the MCZ are simulated once, and
+only the gates after it run twice.  The accepted circuit's final state comes
+out of that test, so an experiment never simulates an accepted circuit again.
 
 The experiment harness compares, per circuit and repetition, the exact
 expectation against (a) plain sampling of the uncut circuit at N shots and
@@ -23,6 +25,7 @@ fixed seed regardless of worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -47,6 +50,9 @@ ROTATIONS = 30
 CNOTS = 10
 IMPACT_THRESHOLD = 0.2
 MAX_ATTEMPTS = 1000
+# The screen rejects a candidate only at an impact of IMPACT_THRESHOLD - SCREEN_MARGIN
+# or less; it differs from the exact test by about 1e-15.
+SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ def _random_circuit_and_state(n: int, k: int, m: int,
                               rng: np.random.Generator) -> tuple[Circuit, densesim.StateVector]:
     """``gen_random_circuit`` together with the accepted circuit's final state.
 
-    Each candidate's gates before the MCZ are simulated once; the gates after
-    it run twice from that state, once behind the MCZ and once without it.
+    A candidate the screen keeps has its gates before the MCZ simulated once;
+    the gates after it run twice from that state, with and without the MCZ.
     """
     if k + m != n or not 2 <= n <= 6:
         raise ValueError("need k + m = n with n between 2 and 6")
@@ -153,11 +159,14 @@ def _random_circuit_and_state(n: int, k: int, m: int,
 
     for _ in range(MAX_ATTEMPTS):
         # half of each partition's gates before the central MCZ, half after
-        pre = tuple(local_block(qubits_a, rot_a // 2, cnots_a // 2)
-                    + local_block(qubits_b, rot_b // 2, cnots_b // 2))
-        post = tuple(local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
-                     + local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2))
-
+        pre_a = local_block(qubits_a, rot_a // 2, cnots_a // 2)
+        pre_b = local_block(qubits_b, rot_b // 2, cnots_b // 2)
+        post_a = local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
+        post_b = local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
+        with_gate, without = _screen(k, m, pre_a, pre_b, post_a, post_b)
+        if abs(with_gate - without) <= IMPACT_THRESHOLD - SCREEN_MARGIN:
+            continue
+        pre, post = tuple(pre_a + pre_b), tuple(post_a + post_b)
         pre_state = densesim.run(Circuit(n, pre))
         state = densesim.run(Circuit(n, (mcz,) + post), pre_state)
         with_gate = densesim.expval(state, observable)
@@ -168,6 +177,52 @@ def _random_circuit_and_state(n: int, k: int, m: int,
             return circuit, state
     raise RuntimeError(f"no circuit reached impact threshold {IMPACT_THRESHOLD} "
                        f"in {MAX_ATTEMPTS} attempts")
+
+
+def _screen(k: int, m: int, pre_a, pre_b, post_a, post_b) -> tuple[float, float]:
+    """A candidate's Z-string values with and without its MCZ, from side-local
+    runs: MCZ = I - 2 P_A (x) P_B, so with each side's state a before the MCZ,
+    its all-ones projector P, its gates U after the MCZ and its Gram entries
+    G_ij = <x_i|U^dag Z U|x_j> over x = (a, P a), the value without the MCZ is
+    G11^A G11^B and the MCZ adds 4 (G22^A G22^B - Re G12^A G12^B)."""
+    grams = []
+    for width, offset, pre, post in ((k, 0, pre_a, post_a), (m, k, pre_b, post_b)):
+        size = 1 << width
+        a = [1 + 0j] + [0j] * (size - 1)
+        _side_run(a, width, offset, pre)
+        # U a and U |1...1> run as one list, whose leading bit picks the vector
+        both = a + [0j] * (size - 1) + [1 + 0j]
+        _side_run(both, width + 1, offset - 1, post)
+        u, w = both[:size], both[size:]
+        zu, zw = ([-x if bin(i).count("1") & 1 else x for i, x in enumerate(v)] for v in (u, w))
+        g11, g12, g22 = (sum(x.conjugate() * y for x, y in zip(*pair)) for pair in ((u, zu), (u, zw), (w, zw)))
+        grams.append((g11.real, a[-1] * g12, abs(a[-1]) ** 2 * g22.real))
+    (a11, a12, a22), (b11, b12, b22) = grams
+    return a11 * b11 + 4 * (a22 * b22 - (a12 * b12).real), a11 * b11
+
+
+def _side_run(v: list, width: int, offset: int, gates) -> None:
+    """Apply one side's rotations and CNOTs to a list of 2^width amplitudes in place."""
+    for gate in gates:
+        bit = 1 << (width - 1 - gate.qubits[-1] + offset)  # a rotation's qubit, a CNOT's target
+        if gate.kind == "CNOT":
+            for i, j in _pairs(width, bit, 1 << (width - 1 - gate.qubits[0] + offset)):
+                v[i], v[j] = v[j], v[i]
+            continue
+        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+        m00, m01, m10, m11 = ((c, -1j * s, -1j * s, c) if gate.kind == "RX" else (c, -s, s, c)
+                              if gate.kind == "RY" else (complex(c, -s), 0j, 0j, complex(c, s)))
+        for i, j in _pairs(width, bit):
+            x, y = v[i], v[j]
+            v[i], v[j] = m00 * x + m01 * y, m10 * x + m11 * y
+
+
+@functools.cache
+def _pairs(width: int, bit: int, control: int = 0) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i, i | bit) of 2^width amplitudes with ``bit`` clear and every control bit set.
+
+    Cached: widths of at most 6 (a 5-qubit side run beside a second list) bound the cache."""
+    return tuple((i, i | bit) for i in range(1 << width) if not i & bit and i & control == control)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,8 @@ def _term_streams(seed: int, head: int, tails: list[tuple[int, ...]]):
 
 def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
     """Draw ``shots`` independent runs of one subcircuit; return (sum, sum of squares)."""
-    branch_counts = rng.multinomial(shots, table.probs)
+    # one branch takes every shot; numpy's multinomial over one category draws nothing
+    branch_counts = (shots,) if table.probs.size == 1 else rng.multinomial(shots, table.probs)
     total = 0.0
     total_sq = 0.0
     for count, dist, vals, vals_sq in zip(branch_counts, table.dists, table.signed, table.signed_sq):
@@ -296,10 +297,12 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
     side contractions: the sum is vals_a C vals_b, the sum of squares
     sq_a C sq_b, and the largest |v| is the maximum over a of |v_a| times the
     largest |v_b| with C_ab > 0.  Precondition: every value is 0 or +-1 (a
-    Z-string value times a branch sign) and every count is below 2^53, so each
+    Z-string value times a branch sign) and ``shots`` is below 2^53, so each
     partial sum is an exact integer and the contractions give the bits of the
-    per-outcome products in any order.  The maximum keeps its bits for any
-    values, since rounding is monotone and |x y| = |x| |y|.
+    per-outcome products in any order; above it (``sample --mode shots
+    --epsilon 1e-7`` draws 1.5e16) the sums round and may depend on the order.
+    The maximum keeps its bits for any values, since rounding is monotone and
+    |x y| = |x| |y|.
     """
     joint = np.outer(table_a.probs, table_b.probs).reshape(-1)
     pair_counts = rng.multinomial(shots, joint).reshape(table_a.probs.size, table_b.probs.size)

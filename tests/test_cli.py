@@ -351,6 +351,30 @@ class TestExperimentCommand:
             "summary.json": "cd37105b9197b901426295ea622129109ce1d8c86fc3917fba0a206eb8f69a43",
         }
 
+    # The benchmark's experiment shape at two more config seeds, in both
+    # modes; computed before candidates were screened off the exact simulator.
+    BENCHMARK_SHAPE_GOLDENS = {
+        ("preestimation", 1): ("7424b6fbfc16a011926a8109171be69d723b032a4001bfdea3d0277fe2070d3c",
+                               "1c3ac204d550a7d7a4cbb9423c8c5974db38d4583624c66580b8fc8fb840da4c"),
+        ("preestimation", 2): ("fa0ebe00e9d7f5667f2375c0034135e0f64d976b0d400b6113454086ef1f2ad4",
+                               "a1f22dae5aaaae3d4026ada0ff6ca14fb14536e278eaa194a4cae06927ca3473"),
+        ("circuit_sampling", 1): ("8741d673287169d7d9233f9ad6fb15100d623d881d93e9325904ead7ce079c40",
+                                  "df209cb7fbcdd9e893ea7d39569e4ef978d0efaea8ac8f81351a25786fcb6ece"),
+        ("circuit_sampling", 2): ("9da08ba5d996ea73aeb7b37c1a5f03e48771d6784365ed28bf5ee486325fa5a0",
+                                  "65237a96645244b0a454704e84e780cd628d1521c27137475bed18d90b995e37"),
+    }
+
+    @pytest.mark.parametrize("mode,seed", list(BENCHMARK_SHAPE_GOLDENS))
+    def test_benchmark_shape_golden_digests(self, tmp_path, mode, seed):
+        config = {"version": 1, "num_qubits": 5, "k": 2, "m": 3, "epsilon": 0.01,
+                  "mode": mode, "repetitions": 20, "circuits": 5, "seed": seed}
+        cfg_path = tmp_path / "experiment.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.cmd_experiment(str(cfg_path), str(tmp_path / "out"), stream=io.StringIO()) == 0
+        digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                        for name in ("runs.csv", "summary.json"))
+        assert digests == self.BENCHMARK_SHAPE_GOLDENS[mode, seed]
+
 
 EXPERIMENT_CONFIG = {"version": 1, "num_qubits": 3, "k": 1, "m": 2, "epsilon": 0.2,
                      "repetitions": 1, "circuits": 1, "seed": 4}

@@ -51,13 +51,85 @@ def reference_random_circuit(n, k, m, rng):
     raise RuntimeError("no circuit reached the impact threshold")
 
 
+def screened(n, k, seed):
+    """The candidates one generator call screens at split (k, n - k), each
+    with the screen's (with, without) values."""
+    screen, seen = experiments._screen, []
+
+    def recording(*candidate):
+        seen.append((candidate, screen(*candidate)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_screen", recording)
+        gen_random_circuit(n, k, n - k, np.random.default_rng(seed))
+    return seen
+
+
+def exact_values(n, candidate):
+    """A candidate's Z-string values with and without its MCZ, from full-register runs."""
+    _, _, pre_a, pre_b, post_a, post_b = candidate
+    pre, post = tuple(pre_a + pre_b), tuple(post_a + post_b)
+    obs = Observable.z_string(n)
+    return (densesim.expval(densesim.run(Circuit(n, pre + (Gate("MCZ", tuple(range(n))),) + post)), obs),
+            densesim.expval(densesim.run(Circuit(n, pre + post)), obs))
+
+
+def circuit_and_bytes(circuit_and_state):
+    """The circuit and its final state's amplitude bytes, for exact comparison."""
+    circuit, state = circuit_and_state
+    return circuit, state.amplitudes.tobytes()
+
+
 class TestRandomCircuits:
-    @pytest.mark.parametrize("k,m", [(k, n - k) for n in (3, 4, 5) for k in range(1, n)])
+    @pytest.mark.parametrize("k,m", [(k, n - k) for n in (2, 3, 4, 5, 6) for k in range(1, n)])
     def test_matches_reference_generator(self, k, m):
-        for seed in range(50):
+        # fewer seeds at n = 6, where the reference's full-register runs cost most
+        for seed in range({2: 10, 6: 2}.get(k + m, 50)):
             circuit, state = experiments._random_circuit_and_state(k + m, k, m, np.random.default_rng(seed))
             assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
             assert np.array_equal(state.amplitudes, densesim.run(circuit).amplitudes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_screen_matches_exact_values(self, n):
+        # at least 30 candidates at each of the 20 splits of n = 2-6
+        for k in range(1, n):
+            seen, seed = [], 0
+            while len(seen) < 30:
+                seen += screened(n, k, seed)
+                seed += 1
+            for candidate, screen_values in seen:
+                for value, exact in zip(screen_values, exact_values(n, candidate)):
+                    assert abs(value - exact) < 1e-12
+
+    @pytest.mark.parametrize("k,m", [(1, 2), (2, 2), (2, 3), (1, 4)])
+    def test_candidates_in_the_margin_take_the_exact_path(self, monkeypatch, k, m):
+        n = k + m
+        banded_seeds = 0
+        for seed in range(4):
+            expected = circuit_and_bytes(experiments._random_circuit_and_state(n, k, m, np.random.default_rng(seed)))
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "SCREEN_MARGIN", math.inf)  # every candidate takes the exact path
+                assert circuit_and_bytes(experiments._random_circuit_and_state(n, k, m, np.random.default_rng(seed))) == expected
+            # The threshold at the largest exact impact among the rejected
+            # candidates: the screen sees that candidate inside the margin and
+            # must defer, the exact test rejects it, and the same circuit wins.
+            candidates = [candidate for candidate, _ in screened(n, k, seed)]
+            if len(candidates) == 1:
+                continue
+            threshold = max(abs(w - wo) for w, wo in (exact_values(n, c) for c in candidates[:-1]))
+            for margin in (experiments.SCREEN_MARGIN, math.inf):
+                with monkeypatch.context() as patch:
+                    patch.setattr(experiments, "IMPACT_THRESHOLD", threshold)
+                    patch.setattr(experiments, "SCREEN_MARGIN", margin)
+                    runs, run = [], densesim.run
+                    patch.setattr(densesim, "run", lambda *a: runs.append(a) or run(*a))
+                    banded = circuit_and_bytes(experiments._random_circuit_and_state(n, k, m, np.random.default_rng(seed)))
+                assert banded == expected
+                # the deferred candidate and the accepted one, or every candidate
+                assert len(runs) == (6 if margin == experiments.SCREEN_MARGIN else 3 * len(candidates))
+            banded_seeds += 1
+        assert banded_seeds
 
     def test_unchecked_gates_hold_what_validation_stores(self):
         for seed in range(5):

@@ -463,6 +463,34 @@ class TestSideTable:
                         == reference_joint_products(side_a, side_b, shots, np.random.default_rng(i)))
 
 
+def plain_side_sum(table, shots, rng):
+    """``sampler._sample_side_sum`` with the branch draw made for every table."""
+    total = total_sq = 0.0
+    for count, dist, vals, vals_sq in zip(rng.multinomial(shots, table.probs), table.dists,
+                                          table.signed, table.signed_sq):
+        if count:
+            outcome_counts = rng.multinomial(count, dist)
+            total += float(outcome_counts @ vals)
+            total_sq += float(outcome_counts @ vals_sq)
+    return total, total_sq
+
+
+class TestOneBranchTables:
+    def test_skipped_branch_draw_keeps_sums_and_stream(self):
+        # the criterion-6 shape: most (2,3) side tables hold one branch
+        circuit = experiments.gen_random_circuit(5, 2, 3, np.random.default_rng(3))
+        terms = embed(decompose_mcz(2, 3), find_cut(circuit))
+        va, vb = Observable.z_string(5).factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
+        tables = [t for pair in cutter.term_tables(terms, va.values, vb.values) for t in pair]
+        assert {t.probs.size == 1 for t in tables} == {True, False}
+        for table in tables:
+            for seed in range(40):
+                for shots in (1, 37, 84_706):
+                    fast, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert sampler._sample_side_sum(table, shots, fast) == plain_side_sum(table, shots, plain)
+                    assert fast.bit_generator.state == plain.bit_generator.state
+
+
 class TestJointScoring:
     def test_side_contractions_match_per_pair_loop(self):
         # A (2, 3) cut with an idle qubit on each side: up to 4 A branches
