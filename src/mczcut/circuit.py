@@ -267,8 +267,9 @@ def parse(text: str) -> Circuit:
         except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from exc
     partition = doc.get("partition")
-    if partition is not None and not isinstance(partition, list):
-        raise ValueError(f"'partition' must be a list of labels, got {partition!r}")
+    if partition is not None and not (isinstance(partition, list)
+                                      and all(isinstance(label, str) for label in partition)):
+        raise ValueError(f"'partition' must be a list of string labels, got {partition!r}")
     circuit = Circuit(doc["num_qubits"], tuple(gates),
                       tuple(partition) if partition is not None else None)
     validate(circuit)

@@ -150,18 +150,16 @@ def cmd_decompose(order: int, cut: int, out: str | None = None, stream=None) -> 
     if not 1 <= cut < order:
         raise InputError(f"cut position must lie in [1, {order - 1}], got {cut}")
     d = cutter.decompose_mcz(cut, order - cut)
-    if order <= cutter.MAX_CERTIFIED_ORDER:
-        result = cutter.verify(d)
-        if not result.passed:
-            print(f"FAIL oracle residual {result.residual:.3e}", file=stream)
-            return 1
-        print(f"oracle residual {result.residual:.3e} (PASS)", file=stream)
+    result = cutter.verify(d) if order <= cutter.MAX_CERTIFIED_ORDER else None
+    if result is not None and not result.passed:
+        print(f"FAIL oracle residual {result.residual:.3e}", file=stream)
+        return 1
     doc = json.dumps(d.to_document(), indent=2, sort_keys=True)
-    if out:
+    if out:  # before any output, so an unwritable path prints nothing
         _write(Path(out), doc + "\n")
-        print(f"wrote {out}", file=stream)
-    else:
-        print(doc, file=stream)
+    if result is not None:
+        print(f"oracle residual {result.residual:.3e} (PASS)", file=stream)
+    print(f"wrote {out}" if out else doc, file=stream)
     print(f"kappa = {d.kappa}", file=stream)
     return 0
 
@@ -215,7 +213,7 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
     if cut.order > cutter.MAX_CERTIFIED_ORDER:
         raise InputError(f"cut of order {cut.order} exceeds the certified order {cutter.MAX_CERTIFIED_ORDER}")
     terms = cutter.embed(decomposition, cut)
-    table_bytes = cutter.branch_table_bytes([plan for t in terms for plan in (t.side_a, t.side_b)])
+    table_bytes = cutter.branch_table_bytes(terms)
     if table_bytes > MAX_TABLE_BYTES:
         raise InputError(f"the branch tables of {config_path} would hold {table_bytes / 2**30:.1f} GiB, "
                          f"above the {MAX_TABLE_BYTES / 2**30:g} GiB sample builds")

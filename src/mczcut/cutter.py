@@ -26,16 +26,15 @@ Certification and sampling read the same expansion (w_i, d_i) of
 ``LocalOperation.signed_diagonal_terms``: ``term_tables`` runs each of its
 terms as one execution branch, so the sampled maps are the certified ones.
 
-``embed`` remaps each side's gates once, so all plans of a side share one
-pre-MCZ and one post-MCZ gate tuple and differ only in their operation.
-``term_tables`` uses that to build the sampler's branch tables in one pass:
-it runs each side's pre-MCZ gates once and simulates and normalises each
-distinct branch once, a branch being a side with a diagonal (keyed by its
-bytes) or a projective outcome.  So a projector and a signed projector share
-their outcome simulations, and a Z-layer shares its simulation with the same
-layer inside a Z-mixture.  ``branch_table_bytes`` counts those distinct
-branches from the plans alone, and ``exact_cut_expectation`` sums the
-tables' exact means.
+``embed`` builds one ``CutSide`` per partition, its gates remapped once, and
+every term shares the two sides.  ``term_tables`` builds the sampler's branch
+tables from them in one pass: it runs each side's pre-MCZ gates once and
+simulates and normalises each distinct branch of a side once, a branch being
+a diagonal (keyed by its bytes) or a projective outcome.  So a projector and
+a signed projector share their outcome simulations, and a Z-layer shares its
+simulation with the same layer inside a Z-mixture.  ``branch_table_bytes``
+counts those distinct branches from the sides and operations alone, and
+``exact_cut_expectation`` sums the tables' exact means.
 
 ``final_state`` gives the cut circuit's exact final state without the
 decomposition, from the MCZ's rank-two form I - 2 P_A (x) P_B and side-sized
@@ -45,7 +44,7 @@ runs only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -477,19 +476,16 @@ def rewrite_projector(n: int) -> float:
 # Embedding a decomposition into a partitioned circuit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubcircuitPlan:
-    """One partition's subcircuit for one decomposition term.
-
-    Gates are remapped to partition-local qubit indices; the cut gate is
-    replaced by ``op`` acting on ``op_qubits``.  Mixture operations carry a
-    sampler directive (one Z-layer drawn per shot) rather than expanded
-    circuits; projective operations carry a mid-circuit-measurement directive.
-    """
+@dataclass(frozen=True, eq=False)
+class CutSide:
+    """One partition of a cut circuit: its gates before and after the cut
+    gate on partition-local qubits, the local qubits ``op_qubits`` where a
+    term's operation replaces the cut gate, and the partition's circuit
+    qubits ``source_qubits`` in local order.  Compared and hashed by
+    identity: ``embed`` builds one per partition, shared by every term."""
 
     num_qubits: int
     pre_gates: tuple[Gate, ...]
-    op: LocalOperation
     op_qubits: tuple[int, ...]
     post_gates: tuple[Gate, ...]
     source_qubits: tuple[int, ...]
@@ -497,16 +493,21 @@ class SubcircuitPlan:
 
 @dataclass(frozen=True)
 class EmbeddedTerm:
+    """A decomposition term placed on a cut: ``op_a`` replaces the cut gate
+    on ``side_a`` and ``op_b`` on ``side_b``."""
+
     coefficient: float
-    side_a: SubcircuitPlan
-    side_b: SubcircuitPlan
+    op_a: LocalOperation
+    op_b: LocalOperation
+    side_a: CutSide
+    side_b: CutSide
 
 
 def _remap_gate(gate: Gate, mapping: dict[int, int]) -> Gate:
     return Gate(gate.kind, tuple(mapping[q] for q in gate.qubits), gate.angle)
 
 
-def _side_plan(cut: PartitionedCut, label: str, op: LocalOperation) -> SubcircuitPlan:
+def _cut_side(cut: PartitionedCut, label: str) -> CutSide:
     circuit = cut.circuit
     qubits = circuit.qubits_in(label)
     mapping = {q: i for i, q in enumerate(qubits)}
@@ -519,24 +520,19 @@ def _side_plan(cut: PartitionedCut, label: str, op: LocalOperation) -> Subcircui
         if circuit.partition[gate.qubits[0]] != label:
             continue
         (pre if i < cut.cut_gate_index else post).append(_remap_gate(gate, mapping))
-    return SubcircuitPlan(len(qubits), tuple(pre), op, op_qubits, tuple(post), qubits)
+    return CutSide(len(qubits), tuple(pre), op_qubits, tuple(post), qubits)
 
 
 def embed(decomposition: Decomposition, cut: PartitionedCut) -> list[EmbeddedTerm]:
-    """Produce the weighted subcircuit pairs realizing the cut decomposition.
-
-    Each side's gates are remapped once: every plan of a side shares its gate
-    tuples, and the plans differ only in ``op``.
-    """
+    """Place every term of the decomposition on the cut's two sides, which
+    are built once and shared by all terms."""
     if decomposition.order != cut.order:
         raise ValueError(f"decomposition order {decomposition.order} does not match cut order {cut.order}")
     if (decomposition.k, decomposition.m) != (cut.k, cut.m):
         raise ValueError(f"decomposition split ({decomposition.k},{decomposition.m}) "
                          f"does not match cut split ({cut.k},{cut.m})")
-    side_a = _side_plan(cut, "A", LocalOperation.identity(cut.k))
-    side_b = _side_plan(cut, "B", LocalOperation.identity(cut.m))
-    return [EmbeddedTerm(t.coefficient, replace(side_a, op=t.op_a), replace(side_b, op=t.op_b))
-            for t in decomposition.terms]
+    side_a, side_b = _cut_side(cut, "A"), _cut_side(cut, "B")
+    return [EmbeddedTerm(t.coefficient, t.op_a, t.op_b, side_a, side_b) for t in decomposition.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +541,13 @@ def embed(decomposition: Decomposition, cut: PartitionedCut) -> list[EmbeddedTer
 
 @dataclass
 class SideTable:
-    """What the samplers draw from for one subcircuit plan and its side's
-    observable values, computed once per table rather than per estimate:
+    """What the samplers draw from for one operation on one side, computed
+    once per table rather than per estimate:
 
     * ``probs``: the normalised branch probabilities;
     * ``dists``: each branch's normalised outcome distribution;
-    * ``signed``/``signed_sq``: each branch's sign times the observable
-      values, and its square (one array per distinct sign).
+    * ``signs``: each branch's sign, which multiplies the side's
+      observable ``values`` in every shot of that branch.
 
     A branch is one term (w, d) of the operation's signed-diagonal expansion,
     the one certification reads: a phase diagonal d is applied with
@@ -562,105 +558,90 @@ class SideTable:
 
     probs: np.ndarray
     dists: list[np.ndarray]
-    signed: list[np.ndarray]
-    signed_sq: list[np.ndarray]
+    signs: list[float]
+    values: np.ndarray
 
     def mean(self) -> float:
         """Exact expectation of the side's observable over its branches."""
-        return float(sum(p * float(dist @ vals)
-                         for p, dist, vals in zip(self.probs, self.dists, self.signed)))
+        return float(sum(p * sign * float(dist @ self.values)
+                         for p, sign, dist in zip(self.probs, self.signs, self.dists)))
 
 
 TermTables = list[tuple[SideTable, SideTable]]
 
 
-def _side_key(plan: SubcircuitPlan) -> tuple:
-    """A plan's side, apart from its operation.  Plans from one ``embed``
-    share their gate tuples, so the tuples are told apart by identity, not by
-    hashing every gate."""
-    return plan.num_qubits, id(plan.pre_gates), plan.op_qubits, id(plan.post_gates)
-
-
-def _branch_terms(plan: SubcircuitPlan) -> list[tuple[float, int | bytes, np.ndarray]]:
+def _branch_terms(op: LocalOperation) -> list[tuple[float, int | bytes, np.ndarray]]:
     """(w, key, d) for each term (w, d) of the operation's signed-diagonal
     expansion.  The key names the branch within its side: the outcome of a
     projective term, the diagonal's bytes otherwise."""
-    projective = plan.op.variant in PROJECTIVE_VARIANTS
+    projective = op.variant in PROJECTIVE_VARIANTS
     return [(weight, outcome if projective else diagonal.tobytes(), diagonal)
-            for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms())]
+            for outcome, (weight, diagonal) in enumerate(op.signed_diagonal_terms())]
 
 
 def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> TermTables:
     """The (A, B) branch tables of every term.
 
-    Each side's gates before the cut run once.  Each distinct branch, a side
-    with a diagonal's bytes or a projective outcome, is simulated and
+    Each side's gates before the cut run once.  Each distinct branch of a
+    side, a diagonal's bytes or a projective outcome, is simulated and
     normalised once, so tables share the distribution arrays of equal
-    branches.  Each distinct plan and values array gets one table.  The
-    simulation calls are those of a single plan, so every distribution keeps
-    its bits.  Tables depend only on the subcircuit plans, never on a seed,
-    so one list serves every estimate over the same terms (the ``tables=``
-    keyword of the sampler's estimators).
+    branches.  Each distinct (side, operation) pair gets one table, which
+    scores its partition's values.  The simulation calls are those of a
+    single table, so every distribution keeps its bits.  Tables depend only
+    on the sides and operations, never on a seed, so one list serves every
+    estimate over the same terms (the ``tables=`` keyword of the sampler's
+    estimators).
     """
-    sides: dict[tuple, tuple[densesim.StateVector, Circuit]] = {}
+    pre_states = {side: densesim.run(Circuit(side.num_qubits, side.pre_gates))
+                  for side in dict.fromkeys(side for t in terms for side in (t.side_a, t.side_b))}
     simulated: dict[tuple, tuple[float | None, np.ndarray] | None] = {}
-    # keyed by the values too: an A-side and a B-side plan without gates share a side
-    tables: dict[tuple, SideTable] = {}
+    tables: dict[tuple[CutSide, LocalOperation], SideTable] = {}
 
-    def table(plan: SubcircuitPlan, values: np.ndarray) -> SideTable:
-        side = _side_key(plan)
-        table_key = side + (plan.op, id(values))
-        if table_key in tables:
-            return tables[table_key]
-        if side not in sides:
-            sides[side] = (densesim.run(Circuit(plan.num_qubits, plan.pre_gates)),
-                           Circuit(plan.num_qubits, plan.post_gates))
-        pre_state, post = sides[side]
-        projective = plan.op.variant in PROJECTIVE_VARIANTS
+    def table(side: CutSide, op: LocalOperation, values: np.ndarray) -> SideTable:
+        if (side, op) in tables:
+            return tables[side, op]
+        projective = op.variant in PROJECTIVE_VARIANTS
         probs, dists, signs = [], [], []
-        for weight, key, diagonal in _branch_terms(plan):
+        for weight, key, diagonal in _branch_terms(op):
             if (side, key) not in simulated:
-                simulated[side, key] = _simulate_branch(plan, pre_state, post, key, diagonal)
+                simulated[side, key] = _simulate_branch(side, projective, pre_states[side], key, diagonal)
             if simulated[side, key] is None:
                 continue  # zero-probability outcome
             prob, distribution = simulated[side, key]
             probs.append(prob if projective else weight)
             signs.append(weight if projective else 1.0)
             dists.append(distribution)
-        signed = {sign: sign * values for sign in signs}
-        squares = {sign: vals**2 for sign, vals in signed.items()}
         probs = np.array(probs)
-        tables[table_key] = SideTable(probs / probs.sum(), dists, [signed[sign] for sign in signs],
-                                      [squares[sign] for sign in signs])
-        return tables[table_key]
+        tables[side, op] = SideTable(probs / probs.sum(), dists, signs, values)
+        return tables[side, op]
 
-    return [(table(t.side_a, values_a), table(t.side_b, values_b)) for t in terms]
+    return [(table(t.side_a, t.op_a, values_a), table(t.side_b, t.op_b, values_b)) for t in terms]
 
 
-def _simulate_branch(plan: SubcircuitPlan, pre_state: densesim.StateVector, post: Circuit,
+def _simulate_branch(side: CutSide, projective: bool, pre_state: densesim.StateVector,
                      key: int | bytes, diagonal: np.ndarray) -> tuple[float | None, np.ndarray] | None:
     """(Born probability or None, normalised final distribution) of one
     branch; None for a projective outcome of zero probability."""
-    if plan.op.variant in PROJECTIVE_VARIANTS:
+    if projective:
         try:
-            state, prob = densesim.project(pre_state, plan.op_qubits, key)
+            state, prob = densesim.project(pre_state, side.op_qubits, key)
         except ValueError:
             return None
     else:
-        state, prob = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal), None
-    distribution = densesim.run(post, state).probabilities()
+        state, prob = densesim.apply_diagonal(pre_state.copy(), side.op_qubits, diagonal), None
+    distribution = densesim.run(Circuit(side.num_qubits, side.post_gates), state).probabilities()
     distribution /= distribution.sum()  # in place: the bits of distribution / distribution.sum()
     return prob, distribution
 
 
-def branch_table_bytes(plans: list[SubcircuitPlan]) -> int:
+def branch_table_bytes(terms: list[EmbeddedTerm]) -> int:
     """Bytes of the distinct branch distributions ``term_tables`` holds for
-    these plans, from the plans alone: per side of s qubits, distinct
-    branches x 2^s x 8.  It counts every projective outcome, so it is exact
-    unless an outcome has zero probability, and never too small."""
-    distinct = {_side_key(plan) + (plan.op,): plan for plan in plans}.values()
-    branches = {(_side_key(plan), key) for plan in distinct for _, key, _ in _branch_terms(plan)}
-    return sum(8 * 2**side[0] for side, _ in branches)
+    these terms, from the sides and operations alone: per side of s qubits,
+    distinct branches x 2^s x 8.  It counts every projective outcome, so it
+    is exact unless an outcome has zero probability, and never too small."""
+    plans = {(side, op) for t in terms for side, op in ((t.side_a, t.op_a), (t.side_b, t.op_b))}
+    branches = {(side, key) for side, op in plans for _, key, _ in _branch_terms(op)}
+    return sum(8 * 2**side.num_qubits for side, _ in branches)
 
 
 def exact_cut_expectation(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.ndarray) -> float:
@@ -687,19 +668,20 @@ def final_state(cut: PartitionedCut) -> densesim.StateVector:
     """
     circuit = cut.circuit
     sides = []
-    for label, width in (("A", cut.k), ("B", cut.m)):
-        plan = _side_plan(cut, label, LocalOperation.projector(width))
-        pre_state = densesim.run(Circuit(plan.num_qubits, plan.pre_gates))
-        on_ones = np.zeros(2**width)
+    for side in (_cut_side(cut, "A"), _cut_side(cut, "B")):
+        pre_state = densesim.run(Circuit(side.num_qubits, side.pre_gates))
+        on_ones = np.zeros(2**len(side.op_qubits))
         on_ones[-1] = 1.0
-        projected = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, on_ones)
-        for gate in plan.post_gates:
+        projected = densesim.apply_diagonal(pre_state.copy(), side.op_qubits, on_ones)
+        for gate in side.post_gates:
             densesim.apply_gate(projected, gate)
-        after = densesim.run(Circuit(plan.num_qubits, plan.post_gates), pre_state)
+        after = densesim.run(Circuit(side.num_qubits, side.post_gates), pre_state)
         sides.append((after.amplitudes, projected.amplitudes))
     (a1, a2), (b1, b2) = sides
     joint = np.outer(a1, b1)
-    joint -= np.outer(2.0 * a2, b2)  # doubling is exact, so this is 2 (a2 (x) b2)
+    # minus 2 (a2 (x) b2) by row blocks: no second full-size array, same bits
+    for rows, doubled_rows in zip(np.array_split(joint, 8), np.array_split(2.0 * a2, 8)):
+        rows -= np.outer(doubled_rows, b2)
     n = circuit.num_qubits
     order = circuit.qubits_in("A") + circuit.qubits_in("B")
     amplitudes = joint.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)

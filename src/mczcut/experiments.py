@@ -29,6 +29,7 @@ import functools
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -304,14 +305,21 @@ def _run_one(args):
                   shots, decomposition.kappa, config.mode)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRow]:
-    """Produce one row per (repetition, circuit) pair, in that order."""
+    """Produce one row per (repetition, circuit) pair, in that order.  A pool starts
+    all its workers at once, so it holds at most one per task and usable CPU."""
     decomposition, observable, prepared = _prepare_circuits(config)
     tasks = [(config, decomposition, observable, prepared[c], rep, c)
              for rep in range(config.repetitions) for c in range(config.circuits)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // workers)))
+    pool_size = min(workers, len(tasks), _usable_cpus())
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            rows = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // pool_size)))
     else:
         rows = [_run_one(t) for t in tasks]
     rows.sort(key=lambda r: (r.repetition, r.circuit_index))

@@ -11,8 +11,8 @@ Sampling is executed by aggregated multinomial draws over the exact branch
 and outcome distributions, which is statistically identical to a per-shot
 loop, deterministic for a fixed seed, and fast enough for the 10^8-shot
 budgets.  The branch tables (``cutter.term_tables``, imported here) depend
-only on the subcircuit plans; a caller that runs many estimates over the
-same terms builds them once and passes them in.
+only on the cut's sides and the terms' operations; a caller that runs many
+estimates over the same terms builds them once and passes them in.
 
 Randomness uses PCG64 streams keyed by stable seed-sequence spawn keys, so
 results do not depend on execution order or worker count.  The stream of
@@ -275,17 +275,19 @@ def _term_streams(seed: int, head: int, tails: list[tuple[int, ...]]):
 
 
 def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
-    """Draw ``shots`` independent runs of one subcircuit; return (sum, sum of squares)."""
+    """Draw ``shots`` independent runs of one subcircuit; return (sum, sum of squares).
+    A branch's sign (0 or +-1) and its square multiply its sums, exactly."""
     # one branch takes every shot; numpy's multinomial over one category draws nothing
     branch_counts = (shots,) if table.probs.size == 1 else rng.multinomial(shots, table.probs)
+    squares = table.values**2
     total = 0.0
     total_sq = 0.0
-    for count, dist, vals, vals_sq in zip(branch_counts, table.dists, table.signed, table.signed_sq):
+    for count, dist, sign in zip(branch_counts, table.dists, table.signs):
         if count == 0:
             continue
         outcome_counts = rng.multinomial(count, dist)
-        total += float(outcome_counts @ vals)
-        total_sq += float(outcome_counts @ vals_sq)
+        total += sign * float(outcome_counts @ table.values)
+        total_sq += sign**2 * float(outcome_counts @ squares)
     return total, total_sq
 
 
@@ -296,8 +298,8 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
     A branch pair's outcome counts C (A outcomes by B outcomes) are scored as
     side contractions: the sum is vals_a C vals_b, the sum of squares
     sq_a C sq_b, and the largest |v| is the maximum over a of |v_a| times the
-    largest |v_b| with C_ab > 0.  Precondition: every value is 0 or +-1 (a
-    Z-string value times a branch sign) and ``shots`` is below 2^53, so each
+    largest |v_b| with C_ab > 0, each times the pair's signs.  Precondition:
+    every value and sign is 0 or +-1 and ``shots`` is below 2^53, so each
     partial sum is an exact integer and the contractions give the bits of the
     per-outcome products in any order; above it (``sample --mode shots
     --epsilon 1e-7`` draws 1.5e16) the sums round and may depend on the order.
@@ -310,22 +312,25 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
     # outcome counts C as floats: scoring makes no other float array of
     # 2^(s_A + s_B) entries.
     pair = np.empty((table_a.dists[0].size, table_b.dists[0].size))
+    vals_a, vals_b = table_a.values, table_b.values
+    sq_a, sq_b = vals_a**2, vals_b**2
+    abs_a, abs_b = np.abs(vals_a), np.abs(vals_b)
     total = 0.0
     total_sq = 0.0
     vmax = 0.0
-    for ia, (dist_a, vals_a, sq_a) in enumerate(zip(table_a.dists, table_a.signed, table_a.signed_sq)):
-        abs_a = np.abs(vals_a)
-        for ib, (dist_b, vals_b, sq_b) in enumerate(zip(table_b.dists, table_b.signed, table_b.signed_sq)):
+    for ia, (dist_a, sign_a) in enumerate(zip(table_a.dists, table_a.signs)):
+        for ib, (dist_b, sign_b) in enumerate(zip(table_b.dists, table_b.signs)):
             count = int(pair_counts[ia, ib])
             if count == 0:
                 continue
             np.multiply.outer(dist_a, dist_b, out=pair)
             np.copyto(pair, rng.multinomial(count, pair.reshape(-1)).reshape(pair.shape))
-            total += float(vals_a @ (pair @ vals_b))
-            total_sq += float(sq_a @ (pair @ sq_b))
-            largest_b = np.maximum.reduce(np.broadcast_to(np.abs(vals_b), pair.shape), axis=1,
+            sign = sign_a * sign_b
+            total += sign * float(vals_a @ (pair @ vals_b))
+            total_sq += sign**2 * float(sq_a @ (pair @ sq_b))
+            largest_b = np.maximum.reduce(np.broadcast_to(abs_b, pair.shape), axis=1,
                                           where=pair > 0, initial=0.0)
-            vmax = max(vmax, float(np.max(abs_a * largest_b)))
+            vmax = max(vmax, abs(sign) * float(np.max(abs_a * largest_b)))
     return total, total_sq, vmax
 
 

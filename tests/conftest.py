@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,23 @@ def corrupted_decompositions(monkeypatch):
     monkeypatch.setattr(cutter, "decompose_mcz", corrupted)
 
 
+# Opt-in long arms of seeded tests: set MCZCUT_LONG_TESTS=1.
+LONG_RUN = os.environ.get("MCZCUT_LONG_TESTS") == "1"
+LONG_TESTS = pytest.mark.skipif(not LONG_RUN, reason="opt-in long arm: set MCZCUT_LONG_TESTS=1")
+
+
+def term_plans(terms) -> list[tuple]:
+    """The (side, operation) pairs of embedded terms, A then B per term."""
+    return [plan for t in terms for plan in ((t.side_a, t.op_a), (t.side_b, t.op_b))]
+
+
 class SideRuns:
-    """The simulations branch tables make for ``plans``: pre-MCZ side runs
-    (``densesim.run`` of a plan's gates before the cut, from |0...0>) and
-    branch simulations (a run of a plan's gates after the cut, from a
-    branch's state).  Gate tuples are matched by identity, so a full-register
-    run of the same gates does not count."""
+    """The simulations branch tables make for ``plans``, the (side,
+    operation) pairs of embedded terms: pre-MCZ side runs (``densesim.run``
+    of a side's gates before the cut, from |0...0>) and branch simulations
+    (a run of a side's gates after the cut, from a branch's state).  Gate
+    tuples are matched by identity, so a full-register run of the same gates
+    does not count."""
 
     def __init__(self):
         self.plans = []
@@ -38,21 +51,16 @@ class SideRuns:
         self.post = []
 
     def distinct_branches(self) -> int:
-        """Distinct (side, diagonal or projective outcome) pairs of the plans:
-        the branch simulations a build that makes each once makes."""
-        keys = set()
-        for plan in self.plans:
-            projective = plan.op.variant in cutter.PROJECTIVE_VARIANTS
-            for outcome, (_, diagonal) in enumerate(plan.op.signed_diagonal_terms()):
-                side = (plan.source_qubits, plan.pre_gates, plan.post_gates)
-                keys.add((side, outcome if projective else diagonal.tobytes()))
-        return len(keys)
+        """Distinct (side, branch key) pairs of the plans: the branch
+        simulations a build that makes each once makes."""
+        return len({(side, key) for side, op in self.plans for _, key, _ in cutter._branch_terms(op)})
 
 
 @pytest.fixture
 def side_runs(monkeypatch) -> SideRuns:
-    """Record the side runs and branch simulations of every plan that
-    ``cutter.embed`` returns from now on, or that a test adds to ``plans``."""
+    """Record the side runs and branch simulations of every term that
+    ``cutter.embed`` returns from now on, or whose plans a test adds to
+    ``plans``."""
     from mczcut import densesim
 
     runs = SideRuns()
@@ -60,13 +68,13 @@ def side_runs(monkeypatch) -> SideRuns:
 
     def recording_embed(*args):
         terms = embed(*args)
-        runs.plans.extend(plan for t in terms for plan in (t.side_a, t.side_b))
+        runs.plans.extend(term_plans(terms))
         return terms
 
     def recording_run(circuit, initial=None):
-        if initial is None and any(circuit.gates is plan.pre_gates for plan in runs.plans):
+        if initial is None and any(circuit.gates is side.pre_gates for side, _ in runs.plans):
             runs.pre.append(circuit)
-        elif initial is not None and any(circuit.gates is plan.post_gates for plan in runs.plans):
+        elif initial is not None and any(circuit.gates is side.post_gates for side, _ in runs.plans):
             runs.post.append(circuit)
         return run(circuit, initial)
 

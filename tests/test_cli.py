@@ -473,6 +473,12 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(out) in err
 
+    def test_decompose_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        # the residual line used to print before the failed write
+        out = tmp_path / "missing" / "d.json"
+        assert cli.main(["decompose", "--order", "3", "--cut", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_experiment_out_is_a_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
@@ -540,6 +546,17 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and field in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("label", [["A"], 1, None], ids=["list", "int", "null"])
+    def test_partition_label_not_a_string(self, tmp_path, capsys, label):
+        doc = json.loads(bell_document(tmp_path).read_text())
+        doc["partition"][0] = label
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["sample", "--config", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "'partition'" in captured.err
+        assert captured.out == ""
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         out = tmp_path / "record.json"

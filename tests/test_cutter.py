@@ -1,6 +1,5 @@
 import functools
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +10,14 @@ from hypothesis import strategies as st
 from mczcut import cutter, densesim
 from mczcut.circuit import (Circuit, Gate, Observable, cnot, cz, find_cut, h,
                             mcz, parse, serialize)
-from mczcut.cutter import (DecompositionTerm, EmbeddedTerm, LocalOperation,
-                           SubcircuitPlan, branch_table_bytes,
+from mczcut.cutter import (CutSide, DecompositionTerm, EmbeddedTerm,
+                           LocalOperation, branch_table_bytes,
                            channel_multiplier, decompose_ccz,
                            decompose_choi_block, decompose_mcz, embed,
                            exact_cut_expectation, final_state,
                            rewrite_projector, term_tables, verify)
 from mczcut.zhcalc import choi_block_matrix
+from conftest import LONG_TESTS
 from test_circuit import circuits
 
 
@@ -290,10 +290,10 @@ class TestBranchesRealiseCertifiedChannel:
         pre += [Gate("RX", (q,), float(rng.uniform(0, 2 * math.pi))) for q in range(width)]
         post = [Gate(("RX", "RY")[rng.integers(2)], (q,), float(rng.uniform(0, 2 * math.pi)))
                 for q in range(width)]
-        plan = SubcircuitPlan(width, tuple(pre), op, tuple(range(1, width)), tuple(post), tuple(range(width)))
+        side = CutSide(width, tuple(pre), tuple(range(1, width)), tuple(post), tuple(range(width)))
         ones = np.ones(2**width)
-        [(table, _)] = term_tables([EmbeddedTerm(1.0, plan, plan)], ones, ones)
-        sampled = sum(p * sign * dist for p, sign, dist in zip(table.probs, table.signed, table.dists))
+        [(table, _)] = term_tables([EmbeddedTerm(1.0, op, op, side, side)], ones, ones)
+        sampled = sum(p * sign * dist for p, sign, dist in zip(table.probs, table.signs, table.dists))
 
         psi = densesim.run(Circuit(width, tuple(pre))).amplitudes
         rho = np.outer(psi, psi.conj())
@@ -326,7 +326,7 @@ class TestEmbed:
     def test_projective_terms_carry_directive(self):
         d = decompose_mcz(1, 1)
         terms = embed(d, find_cut(bell_prep()))
-        sp_terms = [t for t in terms if t.side_a.op.variant == "signed_projector"]
+        sp_terms = [t for t in terms if t.op_a.variant == "signed_projector"]
         assert sp_terms
         assert all(t.side_a.op_qubits == (0,) for t in sp_terms)
 
@@ -335,7 +335,7 @@ class TestEmbed:
         c = Circuit(4, (mcz(0, 1, 2, 3),), ("A", "B", "B", "B"))
         d = decompose_mcz(1, 3)
         terms = embed(d, find_cut(c))
-        assert any(t.side_b.op.variant == "zmix" for t in terms)
+        assert any(t.op_b.variant == "zmix" for t in terms)
 
     def test_mismatched_order_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -349,13 +349,14 @@ class TestEmbed:
         cut = find_cut(Circuit(n, tuple(gates), tuple(labels)))
         d = decompose_mcz(cut.k, cut.m)
         terms = embed(d, cut)
+        fields = ("num_qubits", "pre_gates", "op_qubits", "post_gates", "source_qubits")
         for term, dt in zip(terms, d.terms):
-            assert term.side_a == cutter._side_plan(cut, "A", dt.op_a)
-            assert term.side_b == cutter._side_plan(cut, "B", dt.op_b)
-            # the gates are remapped once per side: every plan shares them
-            for side in ("side_a", "side_b"):
-                plan, first = getattr(term, side), getattr(terms[0], side)
-                assert plan.pre_gates is first.pre_gates and plan.post_gates is first.post_gates
+            assert (term.coefficient, term.op_a, term.op_b) == (dt.coefficient, dt.op_a, dt.op_b)
+            for name, label in (("side_a", "A"), ("side_b", "B")):
+                side, own = getattr(term, name), cutter._cut_side(cut, label)
+                assert [getattr(side, f) for f in fields] == [getattr(own, f) for f in fields]
+                # the gates are remapped once per side: every term shares the side
+                assert side is getattr(terms[0], name)
 
     def test_gates_split_around_cut(self):
         circuit = bell_prep()
@@ -416,10 +417,6 @@ def cut_documents(draw):
     return parse(serialize(Circuit(n, tuple(gates), tuple(labels))))
 
 
-LONG_TESTS = pytest.mark.skipif(os.environ.get("MCZCUT_LONG_TESTS") != "1",
-                                reason="opt-in long arm: set MCZCUT_LONG_TESTS=1")
-
-
 class TestFinalState:
     @pytest.mark.parametrize("k,m", [
         pytest.param(k, order - k, marks=[LONG_TESTS] if order > 10 else [])
@@ -466,4 +463,4 @@ class TestFinalState:
         assert abs(reconstructed - densesim.expval(densesim.run(circuit), observable)) < 1e-12
         tables = term_tables(terms, va.values, vb.values)
         held = {id(d): d.nbytes for pair in tables for table in pair for d in table.dists}
-        assert branch_table_bytes([plan for t in terms for plan in (t.side_a, t.side_b)]) > sum(held.values())
+        assert branch_table_bytes(terms) > sum(held.values())

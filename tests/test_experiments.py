@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mczcut.circuit import Circuit, Gate, Observable, find_cut, validate
 from mczcut.experiments import (ExperimentConfig, gen_random_circuit,
                                 kappa_table, run_experiment, rows_to_csv,
                                 summarize)
+from conftest import LONG_RUN
 
 
 def reference_random_circuit(n, k, m, rng):
@@ -84,8 +86,10 @@ def circuit_and_bytes(circuit_and_state):
 class TestRandomCircuits:
     @pytest.mark.parametrize("k,m", [(k, n - k) for n in (2, 3, 4, 5, 6) for k in range(1, n)])
     def test_matches_reference_generator(self, k, m):
-        # fewer seeds at n = 6, where the reference's full-register runs cost most
-        for seed in range({2: 10, 6: 2}.get(k + m, 50)):
+        # fewer seeds at n = 6, where the reference's full-register runs cost
+        # most, and at most 5 per split outside the long arm
+        seeds = {2: 10, 6: 2}.get(k + m, 50)
+        for seed in range(seeds if LONG_RUN else min(seeds, 5)):
             circuit, state = experiments._random_circuit_and_state(k + m, k, m, np.random.default_rng(seed))
             assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
             assert np.array_equal(state.amplitudes, densesim.run(circuit).amplitudes)
@@ -236,6 +240,39 @@ class TestHarness:
         parallel = rows_to_csv(run_experiment(config, workers=2))
         assert serial == parallel
 
+    def test_worker_pool_bounded_by_tasks_and_cpus(self, monkeypatch):
+        # A fork-started pool starts all its processes at the first task.  The
+        # fake pool maps in this process and records its size, so the test
+        # starts no process whatever the requested count.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                assert chunksize >= len(tasks) // sizes[-1]
+                return map(fn, tasks)
+
+        config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2,
+                                  repetitions=2, circuits=2, seed=6)
+        serial = rows_to_csv(run_experiment(config, workers=1))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        for cpus in (8, 3, 1):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            assert rows_to_csv(run_experiment(config, workers=10**6)) == serial
+        # 4 tasks on 8 CPUs, then 3 CPUs; one CPU runs serially, without a pool
+        assert sizes == [4, 3]
+
+    def test_usable_cpus(self):
+        assert 1 <= experiments._usable_cpus() <= os.cpu_count()
+
     @pytest.mark.parametrize("mode", ["preestimation", "circuit_sampling"])
     def test_branch_tables_built_once_per_distinct_plan(self, side_runs, mode):
         config = ExperimentConfig(num_qubits=5, k=2, m=3, epsilon=0.2, mode=mode,
@@ -247,7 +284,7 @@ class TestHarness:
         assert len(side_runs.plans) == 2 * 34
         assert len(side_runs.pre) == 2 * 2
         assert len(side_runs.post) == side_runs.distinct_branches()
-        assert len(side_runs.post) < sum(len(p.op.signed_diagonal_terms()) for p in set(side_runs.plans))
+        assert len(side_runs.post) < sum(len(op.signed_diagonal_terms()) for _, op in set(side_runs.plans))
 
     def test_failed_certificate_refused_before_any_table(self, side_runs, corrupted_decompositions):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2, repetitions=1, circuits=1)

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from mczcut import cutter, densesim, experiments, sampler
 from mczcut.circuit import Circuit, Gate, Observable, cz, find_cut, h, mcz, rx
-from mczcut.cutter import (DecompositionTerm, EmbeddedTerm, LocalOperation,
-                           SubcircuitPlan, decompose_mcz, embed,
+from mczcut.cutter import (CutSide, DecompositionTerm, EmbeddedTerm,
+                           LocalOperation, decompose_mcz, embed,
                            exact_cut_expectation, verify)
 from mczcut.sampler import (ShotBudget, allocate, hoeffding_shots,
                             preestimation_budget, preestimation_mode,
                             sample_circuit_mode, sample_uncut)
+from conftest import term_plans
 
 
 class TestBudgets:
@@ -157,9 +158,10 @@ class TestCircuitSamplingMode:
 
     def test_identity_term_reduces_to_plain_sampling(self):
         # kappa = 1 degenerate case: independent subcircuits, no cut gate
-        plan_a = SubcircuitPlan(1, (h(0),), LocalOperation.identity(1), (0,), (), (0,))
-        plan_b = SubcircuitPlan(1, (rx(0, 0.8),), LocalOperation.identity(1), (0,), (), (1,))
-        terms = [EmbeddedTerm(1.0, plan_a, plan_b)]
+        side_a = CutSide(1, (h(0),), (0,), (), (0,))
+        side_b = CutSide(1, (rx(0, 0.8),), (0,), (), (1,))
+        identity = LocalOperation.identity(1)
+        terms = [EmbeddedTerm(1.0, identity, identity, side_a, side_b)]
         obs1 = Observable.z_string(1)
         exact = exact_cut_expectation(terms, obs1.values, obs1.values)
         budget = ShotBudget(200_000, 0.01, 1.0, mode="circuit_sampling")
@@ -199,9 +201,10 @@ class TestPreestimationMode:
         assert record.std_dev < eps
 
     def test_single_term_is_product_of_expectations(self):
-        plan_a = SubcircuitPlan(1, (h(0),), LocalOperation.identity(1), (0,), (), (0,))
-        plan_b = SubcircuitPlan(1, (), LocalOperation.identity(1), (0,), (), (1,))
-        terms = [EmbeddedTerm(1.0, plan_a, plan_b)]
+        side_a = CutSide(1, (h(0),), (0,), (), (0,))
+        side_b = CutSide(1, (), (0,), (), (1,))
+        identity = LocalOperation.identity(1)
+        terms = [EmbeddedTerm(1.0, identity, identity, side_a, side_b)]
         obs1 = Observable.z_string(1)
         budget = ShotBudget(100_000, 0.01, 1.0)
         record = preestimation_mode(terms, budget, 3, obs1.values, obs1.values)
@@ -218,8 +221,8 @@ class TestPreestimationMode:
         assert a.encode() == b.encode()
 
 
-# One execution branch of a plan: selection probability (mixture weight or
-# Born probability), sign xi, and final outcome distribution.
+# One execution branch of an operation on a side: selection probability
+# (mixture weight or Born probability), sign xi, and final outcome distribution.
 Branch = namedtuple("Branch", "prob sign distribution")
 
 
@@ -231,26 +234,25 @@ def normalised(branches):
 def reference_table(branches, values):
     """The side table of branches whose distributions are normalised already."""
     probs = np.array([b.prob for b in branches])
-    signed = {b.sign: b.sign * values for b in branches}
-    squares = {sign: vals**2 for sign, vals in signed.items()}
     return cutter.SideTable(probs / probs.sum(), [b.distribution for b in branches],
-                            [signed[b.sign] for b in branches], [squares[b.sign] for b in branches])
+                            [b.sign for b in branches], values)
 
 
-def reference_side_branches(plan):
-    """Per-plan branch enumeration: its own pre-MCZ run and one simulation per term."""
-    pre_state = densesim.run(Circuit(plan.num_qubits, plan.pre_gates))
-    post = Circuit(plan.num_qubits, plan.post_gates)
+def reference_side_branches(side, op):
+    """Per-plan branch enumeration of an operation on a side: its own pre-MCZ
+    run and one simulation per term."""
+    pre_state = densesim.run(Circuit(side.num_qubits, side.pre_gates))
+    post = Circuit(side.num_qubits, side.post_gates)
     branches = []
-    for outcome, (weight, diagonal) in enumerate(plan.op.signed_diagonal_terms()):
-        if plan.op.variant in cutter.PROJECTIVE_VARIANTS:
+    for outcome, (weight, diagonal) in enumerate(op.signed_diagonal_terms()):
+        if op.variant in cutter.PROJECTIVE_VARIANTS:
             try:
-                state, prob = densesim.project(pre_state, plan.op_qubits, outcome)
+                state, prob = densesim.project(pre_state, side.op_qubits, outcome)
             except ValueError:
                 continue
             sign = weight
         else:
-            state = densesim.apply_diagonal(pre_state.copy(), plan.op_qubits, diagonal)
+            state = densesim.apply_diagonal(pre_state.copy(), side.op_qubits, diagonal)
             prob, sign = weight, 1.0
         branches.append(Branch(prob, sign, densesim.run(post, state).probabilities()))
     return branches
@@ -288,7 +290,7 @@ def cut_tables(k, m, interleaved):
 class TestTermTables:
     def test_estimate_builds_each_distinct_plan_once(self, side_runs):
         _, d, terms, va, vb, _ = ccz_setup()
-        side_runs.plans.extend(plan for t in terms for plan in (t.side_a, t.side_b))
+        side_runs.plans.extend(term_plans(terms))
         preestimation_mode(terms, ShotBudget(6000, 0.1, d.kappa), 0, va, vb, decomposition=d)
         # one pre-MCZ run per side, not per distinct plan, and one simulation
         # per distinct branch
@@ -305,12 +307,11 @@ class TestTermTables:
     def test_shared_tables_match_per_plan_branches(self, k, m, interleaved):
         terms, va, vb, tables = cut_tables(k, m, interleaved)
         for term, pair in zip(terms, tables):
-            for plan, table, values in zip((term.side_a, term.side_b), pair, (va, vb)):
-                expected = reference_table(normalised(reference_side_branches(plan)), values)
+            for (side, op), table, values in zip(term_plans([term]), pair, (va, vb)):
+                expected = reference_table(normalised(reference_side_branches(side, op)), values)
                 assert table.probs.tobytes() == expected.probs.tobytes()
-                for field in ("dists", "signed", "signed_sq"):
-                    got, want = getattr(table, field), getattr(expected, field)
-                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                assert [a.tobytes() for a in table.dists] == [a.tobytes() for a in expected.dists]
+                assert table.signs == expected.signs and table.values is values
 
     def test_sides_without_gates_keep_their_own_values(self):
         # both sides of a bare CZ have the same (empty) gates, so their plans
@@ -318,9 +319,9 @@ class TestTermTables:
         terms = embed(decompose_mcz(1, 1), find_cut(Circuit(2, (cz(0, 1),), ("A", "B"))))
         va, vb = np.array([1.0, -1.0]), np.array([2.0, 3.0])
         for term, (table_a, table_b) in zip(terms, cutter.term_tables(terms, va, vb)):
-            for plan, table, values in ((term.side_a, table_a, va), (term.side_b, table_b, vb)):
-                expected = reference_table(normalised(reference_side_branches(plan)), values)
-                assert [s.tobytes() for s in table.signed] == [s.tobytes() for s in expected.signed]
+            for (side, op), table, values in zip(term_plans([term]), (table_a, table_b), (va, vb)):
+                expected = reference_table(normalised(reference_side_branches(side, op)), values)
+                assert table.signs == expected.signs and table.values is values
 
     @pytest.mark.parametrize("interleaved", [False, True], ids=["blocked", "interleaved"])
     @pytest.mark.parametrize("k,m", SPLITS)
@@ -328,8 +329,7 @@ class TestTermTables:
         # every outcome has non-zero probability here, so no branch is skipped
         terms, _, _, tables = cut_tables(k, m, interleaved)
         held = {id(d): d.nbytes for pair in tables for table in pair for d in table.dists}
-        plans = [plan for t in terms for plan in (t.side_a, t.side_b)]
-        assert cutter.branch_table_bytes(plans) == sum(held.values())
+        assert cutter.branch_table_bytes(terms) == sum(held.values())
 
     @pytest.mark.parametrize("estimator", [sample_circuit_mode, preestimation_mode])
     def test_prebuilt_tables_byte_identical(self, estimator):
@@ -446,7 +446,7 @@ def reference_joint_products(side_a, side_b, shots, rng):
 class TestSideTable:
     def test_samplers_match_per_call_normalisation(self):
         _, _, terms, va, vb, _ = ccz_setup()
-        sides = [((reference_side_branches(t.side_a), va), (reference_side_branches(t.side_b), vb))
+        sides = [((reference_side_branches(t.side_a, t.op_a), va), (reference_side_branches(t.side_b, t.op_b), vb))
                  for t in terms]
         # a projector side: one sign-0 branch, sampled like the others
         dists = np.random.default_rng(4).uniform(size=(3, vb.size))
@@ -462,16 +462,26 @@ class TestSideTable:
                 assert (sampler._sample_joint_products(table_a, table_b, shots, np.random.default_rng(i))
                         == reference_joint_products(side_a, side_b, shots, np.random.default_rng(i)))
 
+    def test_sign_zero_branches_score_zero(self):
+        # a side whose every branch has sign 0 scores 0 in every shot, squares and maximum included
+        _, _, terms, va, vb, _ = ccz_setup()
+        side_a = (reference_side_branches(terms[0].side_a, terms[0].op_a), va)
+        dists = np.random.default_rng(4).uniform(size=(2, vb.size))
+        side_b = ([Branch(p, 0.0, dist) for p, dist in zip((0.6, 0.4), dists)], vb)
+        table_a, table_b = (reference_table(normalised(branches), values) for branches, values in (side_a, side_b))
+        assert sampler._sample_side_sum(table_b, 500, np.random.default_rng(0)) == (0.0, 0.0)
+        assert (sampler._sample_joint_products(table_a, table_b, 500, np.random.default_rng(0))
+                == reference_joint_products(side_a, side_b, 500, np.random.default_rng(0)) == (0.0, 0.0, 0.0))
+
 
 def plain_side_sum(table, shots, rng):
     """``sampler._sample_side_sum`` with the branch draw made for every table."""
     total = total_sq = 0.0
-    for count, dist, vals, vals_sq in zip(rng.multinomial(shots, table.probs), table.dists,
-                                          table.signed, table.signed_sq):
+    for count, dist, sign in zip(rng.multinomial(shots, table.probs), table.dists, table.signs):
         if count:
             outcome_counts = rng.multinomial(count, dist)
-            total += float(outcome_counts @ vals)
-            total_sq += float(outcome_counts @ vals_sq)
+            total += sign * float(outcome_counts @ table.values)
+            total_sq += sign**2 * float(outcome_counts @ table.values**2)
     return total, total_sq
 
 
@@ -503,8 +513,8 @@ class TestJointScoring:
         va, vb = Observable.z_string(7).factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
         tables = cutter.term_tables(terms, va.values, vb.values)
         for term, (table_a, table_b) in zip(terms, tables):
-            sides = ((reference_side_branches(term.side_a), va.values),
-                     (reference_side_branches(term.side_b), vb.values))
+            sides = ((reference_side_branches(term.side_a, term.op_a), va.values),
+                     (reference_side_branches(term.side_b, term.op_b), vb.values))
             for seed in range(4):
                 assert (sampler._sample_joint_products(table_a, table_b, 20_000, np.random.default_rng(seed))
                         == reference_joint_products(*sides, 20_000, np.random.default_rng(seed)))
@@ -526,7 +536,7 @@ class TestSignBookkeeping:
         flipped_run = preestimation_mode(terms, budget, 23, va, vb, decomposition=d)
 
         for base_entry, flip_entry, term in zip(baseline.per_term, flipped_run.per_term, terms):
-            if term.side_a.op.variant == "signed_projector":
+            if term.op_a.variant == "signed_projector":
                 assert flip_entry["mean_a"] == -base_entry["mean_a"]
             else:
                 assert flip_entry["mean_a"] == base_entry["mean_a"]
