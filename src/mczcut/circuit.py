@@ -230,7 +230,7 @@ def serialize(circuit: Circuit) -> str:
 def parse(text: str) -> Circuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed circuit document: top level must be an object")
@@ -260,7 +260,7 @@ def parse(text: str) -> Circuit:
         if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
             raise ValueError(f"gate {i}: 'qubits' must be a list of integers, got {qubits!r}")
         angle = entry.get("angle")
-        if angle is not None and not (_is_real(angle) and math.isfinite(angle)):
+        if angle is not None and not _is_finite(angle):
             raise ValueError(f"gate {i}: angle must be a finite number, got {angle!r}")
         try:
             gates.append(Gate(kind, tuple(qubits), angle))
@@ -280,8 +280,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """An int or float, not a bool, that a float holds finitely (an integer beyond its range does not)."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,8 @@ def _identity_checks():
     return checks
 
 
-def cmd_verify(sizes=None, stream=None) -> int:
+def cmd_verify(sizes=None) -> int:
     """Run every identity check and decomposition oracle; return a process exit code."""
-    stream = stream if stream is not None else sys.stdout
     failures = 0
 
     def report(name, residual, tol):
@@ -113,7 +112,7 @@ def cmd_verify(sizes=None, stream=None) -> int:
         ok = residual < tol
         if not ok:
             failures += 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} (tol {tol:.0e})", file=stream)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: residual {residual:.3e} (tol {tol:.0e})")
 
     orders = sizes if sizes else DEFAULT_VERIFY_ORDERS
     for order in orders:
@@ -135,7 +134,7 @@ def cmd_verify(sizes=None, stream=None) -> int:
             if result.dense_residual is not None:
                 report(f"dense superoperator cross-check ({k},{m})", result.dense_residual, cutter.ORACLE_TOL)
 
-    print(("all checks passed" if failures == 0 else f"{failures} checks FAILED"), file=stream)
+    print("all checks passed" if failures == 0 else f"{failures} checks FAILED")
     return 0 if failures == 0 else 1
 
 
@@ -143,8 +142,7 @@ def cmd_verify(sizes=None, stream=None) -> int:
 # decompose / kappa-table
 # ---------------------------------------------------------------------------
 
-def cmd_decompose(order: int, cut: int, out: str | None = None, stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def cmd_decompose(order: int, cut: int, out: str | None = None) -> int:
     if not 2 <= order <= 12:
         raise InputError(f"order must lie in [2, 12], got {order}")
     if not 1 <= cut < order:
@@ -152,26 +150,24 @@ def cmd_decompose(order: int, cut: int, out: str | None = None, stream=None) -> 
     d = cutter.decompose_mcz(cut, order - cut)
     result = cutter.verify(d) if order <= cutter.MAX_CERTIFIED_ORDER else None
     if result is not None and not result.passed:
-        print(f"FAIL oracle residual {result.residual:.3e}", file=stream)
+        print(f"FAIL oracle residual {result.residual:.3e}")
         return 1
     doc = json.dumps(d.to_document(), indent=2, sort_keys=True)
     if out:  # before any output, so an unwritable path prints nothing
         _write(Path(out), doc + "\n")
     if result is not None:
-        print(f"oracle residual {result.residual:.3e} (PASS)", file=stream)
-    print(f"wrote {out}" if out else doc, file=stream)
-    print(f"kappa = {d.kappa}", file=stream)
+        print(f"oracle residual {result.residual:.3e} (PASS)")
+    print(f"wrote {out}" if out else doc)
+    print(f"kappa = {d.kappa}")
     return 0
 
 
-def cmd_kappa_table(stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def cmd_kappa_table() -> int:
     rows = experiments.kappa_table()
     width = max(len(r["label"]) for r in rows)
-    print(f"{'gate type':<{width}}  order  split  kappa   terms", file=stream)
+    print(f"{'gate type':<{width}}  order  split  kappa   terms")
     for r in rows:
-        print(f"{r['label']:<{width}}  {r['order']:>5}  ({r['k']},{r['m']})  {r['kappa']:<6g}  {r['terms']}",
-              file=stream)
+        print(f"{r['label']:<{width}}  {r['order']:>5}  ({r['k']},{r['m']})  {r['kappa']:<6g}  {r['terms']}")
     return 0
 
 
@@ -187,8 +183,7 @@ def _signed6(value: float) -> str:
 
 
 def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
-               delta: float = 0.05, out: str | None = None, stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+               delta: float = 0.05, out: str | None = None) -> int:
     try:
         circuit = parse(Path(config_path).read_text())
     except (OSError, ValueError, TypeError) as exc:
@@ -233,20 +228,19 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
     if out:  # before the result line, so an unwritable path prints nothing
         _write(Path(out), record.to_json() + "\n")
     print(f"exact = {_signed6(exact)}  estimate = {_signed6(record.estimate)}  "
-          f"std_dev = {record.std_dev:.2e}  shots = {record.shots}", file=stream)
+          f"std_dev = {record.std_dev:.2e}  shots = {record.shots}")
     if out:
-        print(f"wrote {out}", file=stream)
+        print(f"wrote {out}")
     return 0
 
 
-def cmd_experiment(config_path: str, out_dir: str, workers: int = 1, stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def cmd_experiment(config_path: str, out_dir: str, workers: int = 1) -> int:
     if workers < 1:
         raise InputError(f"--workers must be at least 1, got {workers}")
     try:
         doc = json.loads(Path(config_path).read_text())
         config = experiments.ExperimentConfig.from_document(doc)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise InputError(f"cannot read experiment config {config_path}: {exc}") from None
     out = Path(out_dir)
     try:
@@ -259,8 +253,8 @@ def cmd_experiment(config_path: str, out_dir: str, workers: int = 1, stream=None
     summary = experiments.summarize(rows, config)
     for arm in ("cut", "uncut"):
         std = summary[arm]["std_dev"]
-        print(f"{arm} std_dev = {'n/a (single run)' if std is None else format(std, '.3e')}", file=stream)
-    print(f"wrote {out / 'runs.csv'} and {out / 'summary.json'}", file=stream)
+        print(f"{arm} std_dev = {'n/a (single run)' if std is None else format(std, '.3e')}")
+    print(f"wrote {out / 'runs.csv'} and {out / 'summary.json'}")
     return 0
 
 

@@ -3,14 +3,13 @@
 Circuits follow the benchmark recipe: 30 single-qubit rotations and 10 CNOTs
 split proportionally across the two partitions, half before and half after a
 central MCZ spanning all qubits, with rotation angles uniform in [0, 2pi).
-A candidate is rejected until removing the MCZ changes the exact Z-string
+A candidate is rejected until removing the MCZ changes the Z-string
 expectation by more than the impact threshold, so the gate being cut always
-matters for the measured observable.  A cheap side-local screen rejects the
-candidates clearly below the threshold; only the others, in practice just the
-accepted one, run the exact test on the dense simulator.  There both values
-share the candidate's prefix: the gates before the MCZ are simulated once, and
-only the gates after it run twice.  The accepted circuit's final state comes
-out of that test, so an experiment never simulates an accepted circuit again.
+matters for the measured observable.  A side-local screen decides: it runs
+each partition's gates on its own amplitudes and reads both values off the
+MCZ's rank-two form, so no candidate touches the full register.  The
+experiment simulates each accepted circuit once, for its exact value and its
+outcome distribution.
 
 The experiment harness compares, per circuit and repetition, the exact
 expectation against (a) plain sampling of the uncut circuit at N shots and
@@ -51,9 +50,6 @@ ROTATIONS = 30
 CNOTS = 10
 IMPACT_THRESHOLD = 0.2
 MAX_ATTEMPTS = 1000
-# The screen rejects a candidate only at an impact of IMPACT_THRESHOLD - SCREEN_MARGIN
-# or less; it differs from the exact test by about 1e-15.
-SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be a finite number, got an integer beyond the float range") from None
         if self.num_qubits > 5:
             raise ValueError("experiments cover 3, 4 or 5 qubits")
         if self.k + self.m != self.num_qubits:
@@ -95,6 +95,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_document(doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("experiment config must be a JSON object")
         allowed = {"version", "num_qubits", "k", "m", "epsilon", "mode",
                    "repetitions", "circuits", "seed", "delta"}
         unknown = sorted(set(doc) - allowed)
@@ -115,19 +117,9 @@ def _split_counts(total: int, k: int, m: int) -> tuple[int, int]:
 def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator) -> Circuit:
     """Generate a partitioned benchmark circuit with an impactful central MCZ.
 
-    Rejection-samples until the exact Z-string expectation with and without
-    the MCZ differ by more than the impact threshold; raises after the
-    attempt limit (the difference can never exceed 2).
-    """
-    return _random_circuit_and_state(n, k, m, rng)[0]
-
-
-def _random_circuit_and_state(n: int, k: int, m: int,
-                              rng: np.random.Generator) -> tuple[Circuit, densesim.StateVector]:
-    """``gen_random_circuit`` together with the accepted circuit's final state.
-
-    A candidate the screen keeps has its gates before the MCZ simulated once;
-    the gates after it run twice from that state, with and without the MCZ.
+    Rejection-samples until the screened Z-string expectations with and
+    without the MCZ differ by more than the impact threshold; raises after
+    the attempt limit (the difference can never exceed 2).
     """
     if k + m != n or not 2 <= n <= 6:
         raise ValueError("need k + m = n with n between 2 and 6")
@@ -142,7 +134,6 @@ def _random_circuit_and_state(n: int, k: int, m: int,
     elif m < 2:
         cnots_a, cnots_b = CNOTS, 0
     partition = tuple("A" if q < k else "B" for q in range(n))
-    observable = Observable.z_string(n)
     mcz = Gate("MCZ", tuple(range(n)))
 
     def local_block(qubits, n_rot, n_cnot):
@@ -165,17 +156,10 @@ def _random_circuit_and_state(n: int, k: int, m: int,
         post_a = local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
         post_b = local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
         with_gate, without = _screen(k, m, pre_a, pre_b, post_a, post_b)
-        if abs(with_gate - without) <= IMPACT_THRESHOLD - SCREEN_MARGIN:
-            continue
-        pre, post = tuple(pre_a + pre_b), tuple(post_a + post_b)
-        pre_state = densesim.run(Circuit(n, pre))
-        state = densesim.run(Circuit(n, (mcz,) + post), pre_state)
-        with_gate = densesim.expval(state, observable)
-        without = densesim.expval(densesim.run(Circuit(n, post), pre_state), observable)
         if abs(with_gate - without) > IMPACT_THRESHOLD:
-            circuit = Circuit(n, pre + (mcz,) + post, partition)
+            circuit = Circuit(n, (*pre_a, *pre_b, mcz, *post_a, *post_b), partition)
             validate(circuit)
-            return circuit, state
+            return circuit
     raise RuntimeError(f"no circuit reached impact threshold {IMPACT_THRESHOLD} "
                        f"in {MAX_ATTEMPTS} attempts")
 
@@ -261,8 +245,9 @@ def _prepare_circuits(config: ExperimentConfig):
     observable = Observable.z_string(config.num_qubits)
     prepared = []
     for c in range(config.circuits):
-        circuit, state = _random_circuit_and_state(config.num_qubits, config.k, config.m,
-                                                   sampler._rng_for(config.seed, 100, c))
+        circuit = gen_random_circuit(config.num_qubits, config.k, config.m,
+                                     sampler._rng_for(config.seed, 100, c))
+        state = densesim.run(circuit)
         cut = find_cut(circuit)
         terms = cutter.embed(decomposition, cut)
         values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))

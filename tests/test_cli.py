@@ -1,5 +1,5 @@
+import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -42,34 +42,30 @@ def padded_ccz_circuit(seed: int = 1) -> Circuit:
 
 
 class TestVerifyCommand:
-    def test_restricted_sizes_pass(self):
-        stream = io.StringIO()
-        assert cli.cmd_verify(sizes=[2], stream=stream) == 0
-        out = stream.getvalue()
+    def test_restricted_sizes_pass(self, capsys):
+        assert cli.cmd_verify(sizes=[2]) == 0
+        out = capsys.readouterr().out
         assert "decomposition oracle (1,1)" in out
         assert "(1,2)" not in out  # only CZ checks executed
         assert "all checks passed" in out
 
-    def test_default_output_golden_digest(self):
+    def test_default_output_golden_digest(self, capsys):
         # Digest of the stdout of `mczcut verify` at the default sizes before
         # the certification kernels were batched; it pins every printed
         # residual digit (computed with numpy 2 on OpenBLAS).
-        stream = io.StringIO()
-        assert cli.cmd_verify(stream=stream) == 0
-        digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+        assert cli.cmd_verify() == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "5d187e26c2f5c088b391dce60d0990cbe8391c611ebe63e69df8b702ade41168"
 
-    def test_dense_cross_check_reported_at_small_orders(self):
-        stream = io.StringIO()
-        assert cli.cmd_verify(sizes=[4, 5], stream=stream) == 0
-        out = stream.getvalue()
+    def test_dense_cross_check_reported_at_small_orders(self, capsys):
+        assert cli.cmd_verify(sizes=[4, 5]) == 0
+        out = capsys.readouterr().out
         assert "PASS  dense superoperator cross-check (2,2)" in out
         assert "cross-check (2,3)" not in out
 
-    def test_default_orders_report_every_split(self):
-        stream = io.StringIO()
-        assert cli.cmd_verify(sizes=[2, 3, 4, 5, 6], stream=stream) == 0
-        lines = stream.getvalue().splitlines()
+    def test_default_orders_report_every_split(self, capsys):
+        assert cli.cmd_verify(sizes=[2, 3, 4, 5, 6]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "all checks passed"
         assert all(line.startswith("PASS  ") for line in lines[:-1])
         splits = [(k, order - k) for order in range(2, 7) for k in range(1, order)]
@@ -81,15 +77,28 @@ class TestVerifyCommand:
             assert dense == (1 if k + m <= 4 else 0)
         assert sum("dense superoperator cross-check" in line for line in lines) == 6
 
+    def test_repeated_calls_keep_no_memory(self):
+        # stdout goes to the null device, so only what the calls themselves keep is traced
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert cli.cmd_verify(sizes=[2, 3, 4]) == 0
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(8):
+                    assert cli.cmd_verify(sizes=[2, 3, 4]) == 0
+                growth = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert growth < 64 * 1024
+
     def test_sizes_above_ceiling_rejected(self, capsys):
         assert cli.main(["verify", "--sizes", "11"]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "[2, 10]" in err
 
-    def test_corrupted_decomposition_fails(self, corrupted_decompositions):
-        stream = io.StringIO()
-        assert cli.cmd_verify(sizes=[2], stream=stream) == 1
-        assert "FAIL  decomposition oracle (1,1)" in stream.getvalue()
+    def test_corrupted_decomposition_fails(self, corrupted_decompositions, capsys):
+        assert cli.cmd_verify(sizes=[2]) == 1
+        assert "FAIL  decomposition oracle (1,1)" in capsys.readouterr().out
 
     def test_failed_projector_rewrite_reported(self, monkeypatch, capsys):
         original = cutter.LocalOperation.signed_diagonal_terms
@@ -104,33 +113,28 @@ class TestVerifyCommand:
 
 
 class TestDecomposeCommand:
-    def test_cz(self, tmp_path):
-        stream = io.StringIO()
+    def test_cz(self, tmp_path, capsys):
         out = tmp_path / "d.json"
-        assert cli.cmd_decompose(2, 1, str(out), stream=stream) == 0
-        assert "kappa = 3.0" in stream.getvalue()
+        assert cli.cmd_decompose(2, 1, str(out)) == 0
+        assert "kappa = 3.0" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["kappa"] == 3.0 and len(doc["terms"]) == 6
 
-    def test_ccz(self):
-        stream = io.StringIO()
-        assert cli.cmd_decompose(3, 1, stream=stream) == 0
-        assert "kappa = 4.5" in stream.getvalue()
+    def test_ccz(self, capsys):
+        assert cli.cmd_decompose(3, 1) == 0
+        assert "kappa = 4.5" in capsys.readouterr().out
 
-    def test_order_five_one_removed(self):
-        stream = io.StringIO()
-        assert cli.cmd_decompose(5, 1, stream=stream) == 0
-        assert "kappa = 5.0" in stream.getvalue()
+    def test_order_five_one_removed(self, capsys):
+        assert cli.cmd_decompose(5, 1) == 0
+        assert "kappa = 5.0" in capsys.readouterr().out
 
-    def test_large_order_skips_oracle(self):
-        stream = io.StringIO()
-        assert cli.cmd_decompose(12, 6, stream=stream) == 0
-        assert "oracle" not in stream.getvalue()
+    def test_large_order_skips_oracle(self, capsys):
+        assert cli.cmd_decompose(12, 6) == 0
+        assert "oracle" not in capsys.readouterr().out
 
-    def test_order_eight_certified(self):
-        stream = io.StringIO()
-        assert cli.cmd_decompose(8, 4, stream=stream) == 0
-        assert "(PASS)" in stream.getvalue()
+    def test_order_eight_certified(self, capsys):
+        assert cli.cmd_decompose(8, 4) == 0
+        assert "(PASS)" in capsys.readouterr().out
 
     def test_invalid_sizes(self, capsys):
         assert cli.main(["decompose", "--order", "13", "--cut", "1"]) == 2
@@ -142,10 +146,9 @@ class TestDecomposeCommand:
 
 
 class TestKappaTableCommand:
-    def test_rows_printed(self):
-        stream = io.StringIO()
-        assert cli.cmd_kappa_table(stream=stream) == 0
-        out = stream.getvalue()
+    def test_rows_printed(self, capsys):
+        assert cli.cmd_kappa_table() == 0
+        out = capsys.readouterr().out
         assert "CZ" in out and "CCZ" in out
         assert "4.5" in out and "general split (3,3)" in out
 
@@ -154,24 +157,22 @@ class TestSampleCommand:
     def test_preestimation_run(self, tmp_path):
         doc = bell_document(tmp_path)
         out = tmp_path / "record.json"
-        stream = io.StringIO()
-        code = cli.cmd_sample(str(doc), "preest", 0.05, seed=3, out=str(out), stream=stream)
+        code = cli.cmd_sample(str(doc), "preest", 0.05, seed=3, out=str(out))
         assert code == 0
         record = json.loads(out.read_text())
         assert record["mode"] == "preestimation"
         assert abs(record["estimate"] - 1.0) < 0.05
 
-    def test_shots_mode(self, tmp_path):
+    def test_shots_mode(self, tmp_path, capsys):
         doc = bell_document(tmp_path)
-        stream = io.StringIO()
-        assert cli.cmd_sample(str(doc), "shots", 0.1, seed=1, stream=stream) == 0
-        assert "estimate" in stream.getvalue()
+        assert cli.cmd_sample(str(doc), "shots", 0.1, seed=1) == 0
+        assert "estimate" in capsys.readouterr().out
 
     def test_byte_identical_outputs(self, tmp_path):
         doc = bell_document(tmp_path)
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        cli.cmd_sample(str(doc), "preest", 0.1, seed=9, out=str(out_a), stream=io.StringIO())
-        cli.cmd_sample(str(doc), "preest", 0.1, seed=9, out=str(out_b), stream=io.StringIO())
+        cli.cmd_sample(str(doc), "preest", 0.1, seed=9, out=str(out_a))
+        cli.cmd_sample(str(doc), "preest", 0.1, seed=9, out=str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
@@ -205,18 +206,17 @@ class TestSampleCommand:
     }
 
     @pytest.mark.parametrize("document,mode", list(SAMPLE_GOLDENS))
-    def test_golden_digests(self, tmp_path, document, mode):
+    def test_golden_digests(self, tmp_path, document, mode, capsys):
         circuit = wide_cut_circuit(3, 3, seed=2) if document == "wide-3-3" else padded_ccz_circuit()
         doc = tmp_path / "circuit.json"
         doc.write_text(serialize(circuit))
         out = tmp_path / "record.json"
-        stream = io.StringIO()
-        assert cli.cmd_sample(str(doc), mode, 0.1, seed=19, out=str(out), stream=stream) == 0
+        assert cli.cmd_sample(str(doc), mode, 0.1, seed=19, out=str(out)) == 0
         digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
-                   hashlib.sha256(stream.getvalue().splitlines()[0].encode()).hexdigest())
+                   hashlib.sha256(capsys.readouterr().out.splitlines()[0].encode()).hexdigest())
         assert digests == self.SAMPLE_GOLDENS[document, mode]
 
-    def test_exact_value_without_full_register_run(self, tmp_path, monkeypatch):
+    def test_exact_value_without_full_register_run(self, tmp_path, monkeypatch, capsys):
         circuit = wide_cut_circuit(3, 3, seed=2)
         doc = tmp_path / "circuit.json"
         doc.write_text(serialize(circuit))
@@ -233,11 +233,10 @@ class TestSampleCommand:
 
         monkeypatch.setattr(densesim, "run", recording_run)
         monkeypatch.setattr(densesim, "expval", recording_expval)
-        stream = io.StringIO()
-        assert cli.cmd_sample(str(doc), "shots", 0.1, seed=19, stream=stream) == 0
+        assert cli.cmd_sample(str(doc), "shots", 0.1, seed=19) == 0
         assert widths and max(widths) == 3
         assert exact_values == [pytest.approx(expval(run(circuit), Observable.z_string(6)), abs=1e-12)]
-        assert stream.getvalue().startswith(f"exact = {exact_values[0]:+.6f}  ")
+        assert capsys.readouterr().out.startswith(f"exact = {exact_values[0]:+.6f}  ")
 
     # 3 qubits B,A,B: RY(pi/2) leaves qubit 1's Z factor at 0, so the exact
     # value is 0 up to rounding noise of either sign
@@ -249,15 +248,14 @@ class TestSampleCommand:
                   {"kind": "MCZ", "qubits": [0, 1, 2]},
                   {"kind": "X", "qubits": [0]}, {"kind": "X", "qubits": [1]}, {"kind": "S", "qubits": [2]}]}
 
-    def test_value_rounding_to_zero_prints_plus_sign(self, tmp_path):
+    def test_value_rounding_to_zero_prints_plus_sign(self, tmp_path, capsys):
         doc = tmp_path / "zero.json"
         doc.write_text(json.dumps(self.ZERO_VALUE_DOCUMENT))
         circuit = parse(doc.read_text())
         exact = densesim.expval(cutter.final_state(find_cut(circuit)), Observable.z_string(3))
         assert -5e-7 < exact < 0.0  # noise that +.6f prints as -0.000000
-        stream = io.StringIO()
-        assert cli.cmd_sample(str(doc), "preest", 0.2, seed=1, stream=stream) == 0
-        assert stream.getvalue().startswith("exact = +0.000000  estimate = ")
+        assert cli.cmd_sample(str(doc), "preest", 0.2, seed=1) == 0
+        assert capsys.readouterr().out.startswith("exact = +0.000000  estimate = ")
 
     @pytest.mark.parametrize("value,text", [(-0.0, "+0.000000"), (-4.9e-7, "+0.000000"), (0.0, "+0.000000"),
                                             (4.9e-7, "+0.000000"), (-5.1e-7, "-0.000001"),
@@ -316,8 +314,7 @@ class TestExperimentCommand:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         out_dir = tmp_path / "out"
-        stream = io.StringIO()
-        assert cli.cmd_experiment(str(cfg_path), str(out_dir), stream=stream) == 0
+        assert cli.cmd_experiment(str(cfg_path), str(out_dir)) == 0
         runs = (out_dir / "runs.csv").read_text()
         assert len(runs.splitlines()) == 3
         summary = json.loads((out_dir / "summary.json").read_text())
@@ -329,7 +326,7 @@ class TestExperimentCommand:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         for name in ("one", "two"):
-            cli.cmd_experiment(str(cfg_path), str(tmp_path / name), stream=io.StringIO())
+            cli.cmd_experiment(str(cfg_path), str(tmp_path / name))
         assert (tmp_path / "one" / "runs.csv").read_bytes() == (tmp_path / "two" / "runs.csv").read_bytes()
         assert (tmp_path / "one" / "summary.json").read_bytes() == (tmp_path / "two" / "summary.json").read_bytes()
 
@@ -343,7 +340,7 @@ class TestExperimentCommand:
                   "mode": "preestimation", "repetitions": 20, "circuits": 5, "seed": 11}
         cfg_path = tmp_path / "experiment.json"
         cfg_path.write_text(json.dumps(config))
-        assert cli.cmd_experiment(str(cfg_path), str(tmp_path / "out"), stream=io.StringIO()) == 0
+        assert cli.cmd_experiment(str(cfg_path), str(tmp_path / "out")) == 0
         digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                    for name in ("runs.csv", "summary.json")}
         assert digests == {
@@ -370,7 +367,7 @@ class TestExperimentCommand:
                   "mode": mode, "repetitions": 20, "circuits": 5, "seed": seed}
         cfg_path = tmp_path / "experiment.json"
         cfg_path.write_text(json.dumps(config))
-        assert cli.cmd_experiment(str(cfg_path), str(tmp_path / "out"), stream=io.StringIO()) == 0
+        assert cli.cmd_experiment(str(cfg_path), str(tmp_path / "out")) == 0
         digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                         for name in ("runs.csv", "summary.json"))
         assert digests == self.BENCHMARK_SHAPE_GOLDENS[mode, seed]
@@ -430,7 +427,8 @@ class TestRejectedInput:
     @pytest.mark.parametrize("fields", [{"epsilon": 0}, {"epsilon": -0.1},
                                         {"mode": "circuit_sampling", "delta": 1.5}] + [
         pytest.param({"mode": mode, "epsilon": eps}, id=f"{mode}-epsilon-{eps}")
-        for mode in ("preestimation", "circuit_sampling") for eps in (1e-10, 1e-300)])
+        for mode in ("preestimation", "circuit_sampling") for eps in (1e-10, 1e-300)] + [
+        pytest.param({"epsilon": 10**400}, id="huge-integer-epsilon")])  # beyond the float range
     def test_experiment_accuracy_targets(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
@@ -502,7 +500,7 @@ class TestRejectedInput:
     def test_budget_just_below_shot_ceiling_runs(self, tmp_path):
         out = tmp_path / "record.json"
         doc = str(bell_document(tmp_path))
-        assert cli.cmd_sample(doc, "preest", 5e-9, seed=1, out=str(out), stream=io.StringIO()) == 0
+        assert cli.cmd_sample(doc, "preest", 5e-9, seed=1, out=str(out)) == 0
         # 4 kappa^2 / eps^2 at kappa = 3
         assert json.loads(out.read_text())["budget"] == pytest.approx(1.44e18)
 
@@ -523,6 +521,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize("case,field", [
         ("nan-angle", "angle"), ("infinite-angle", "angle"), ("fractional-num-qubits", "num_qubits"),
         ("string-partition", "partition"), ("string-qubits", "qubits"), ("wider-than-simulator", "21 qubits"),
+        ("huge-integer-angle", "angle"),
     ])
     def test_circuit_document_fields(self, tmp_path, capsys, case, field):
         doc = json.loads(bell_document(tmp_path).read_text())
@@ -536,6 +535,8 @@ class TestRejectedInput:
             doc["partition"] = "AB"
         elif case == "string-qubits":
             doc["gates"][0]["qubits"] = "0"
+        elif case == "huge-integer-angle":  # beyond the float range
+            doc["gates"].insert(0, {"kind": "RY", "qubits": [0], "angle": 10**400})
         else:
             doc["num_qubits"] = 21
             doc["partition"] = ["A"] + ["B"] * 20
@@ -546,6 +547,25 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and field in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "experiment"])
+    def test_deeply_nested_config(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [command, "--config", str(path)]
+        argv += ["--seed", "1"] if command == "sample" else ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "deep.json" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_experiment_config_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[]")
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "JSON object" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("label", [["A"], 1, None], ids=["list", "int", "null"])
     def test_partition_label_not_a_string(self, tmp_path, capsys, label):

@@ -77,12 +77,6 @@ def exact_values(n, candidate):
             densesim.expval(densesim.run(Circuit(n, pre + post)), obs))
 
 
-def circuit_and_bytes(circuit_and_state):
-    """The circuit and its final state's amplitude bytes, for exact comparison."""
-    circuit, state = circuit_and_state
-    return circuit, state.amplitudes.tobytes()
-
-
 class TestRandomCircuits:
     @pytest.mark.parametrize("k,m", [(k, n - k) for n in (2, 3, 4, 5, 6) for k in range(1, n)])
     def test_matches_reference_generator(self, k, m):
@@ -90,9 +84,8 @@ class TestRandomCircuits:
         # most, and at most 5 per split outside the long arm
         seeds = {2: 10, 6: 2}.get(k + m, 50)
         for seed in range(seeds if LONG_RUN else min(seeds, 5)):
-            circuit, state = experiments._random_circuit_and_state(k + m, k, m, np.random.default_rng(seed))
+            circuit = gen_random_circuit(k + m, k, m, np.random.default_rng(seed))
             assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
-            assert np.array_equal(state.amplitudes, densesim.run(circuit).amplitudes)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_screen_matches_exact_values(self, n):
@@ -105,35 +98,6 @@ class TestRandomCircuits:
             for candidate, screen_values in seen:
                 for value, exact in zip(screen_values, exact_values(n, candidate)):
                     assert abs(value - exact) < 1e-12
-
-    @pytest.mark.parametrize("k,m", [(1, 2), (2, 2), (2, 3), (1, 4)])
-    def test_candidates_in_the_margin_take_the_exact_path(self, monkeypatch, k, m):
-        n = k + m
-        banded_seeds = 0
-        for seed in range(4):
-            expected = circuit_and_bytes(experiments._random_circuit_and_state(n, k, m, np.random.default_rng(seed)))
-            with monkeypatch.context() as patch:
-                patch.setattr(experiments, "SCREEN_MARGIN", math.inf)  # every candidate takes the exact path
-                assert circuit_and_bytes(experiments._random_circuit_and_state(n, k, m, np.random.default_rng(seed))) == expected
-            # The threshold at the largest exact impact among the rejected
-            # candidates: the screen sees that candidate inside the margin and
-            # must defer, the exact test rejects it, and the same circuit wins.
-            candidates = [candidate for candidate, _ in screened(n, k, seed)]
-            if len(candidates) == 1:
-                continue
-            threshold = max(abs(w - wo) for w, wo in (exact_values(n, c) for c in candidates[:-1]))
-            for margin in (experiments.SCREEN_MARGIN, math.inf):
-                with monkeypatch.context() as patch:
-                    patch.setattr(experiments, "IMPACT_THRESHOLD", threshold)
-                    patch.setattr(experiments, "SCREEN_MARGIN", margin)
-                    runs, run = [], densesim.run
-                    patch.setattr(densesim, "run", lambda *a: runs.append(a) or run(*a))
-                    banded = circuit_and_bytes(experiments._random_circuit_and_state(n, k, m, np.random.default_rng(seed)))
-                assert banded == expected
-                # the deferred candidate and the accepted one, or every candidate
-                assert len(runs) == (6 if margin == experiments.SCREEN_MARGIN else 3 * len(candidates))
-            banded_seeds += 1
-        assert banded_seeds
 
     def test_unchecked_gates_hold_what_validation_stores(self):
         for seed in range(5):
@@ -285,6 +249,22 @@ class TestHarness:
         assert len(side_runs.pre) == 2 * 2
         assert len(side_runs.post) == side_runs.distinct_branches()
         assert len(side_runs.post) < sum(len(op.signed_diagonal_terms()) for _, op in set(side_runs.plans))
+
+    def test_each_accepted_circuit_simulated_once(self, side_runs, monkeypatch):
+        # the screen alone accepts a candidate, so the generator simulates
+        # nothing; the experiment runs each accepted circuit once on the full
+        # register, besides the side runs of its branch tables
+        runs, run = [], densesim.run
+        monkeypatch.setattr(densesim, "run", lambda circuit, initial=None: runs.append(circuit) or run(circuit, initial))
+        for seed in range(5):
+            gen_random_circuit(5, 2, 3, np.random.default_rng(seed))
+        assert runs == []
+        generated, generate = [], experiments.gen_random_circuit
+        monkeypatch.setattr(experiments, "gen_random_circuit", lambda *a: generated.append(generate(*a)) or generated[-1])
+        run_experiment(ExperimentConfig(num_qubits=5, k=2, m=3, epsilon=0.2, repetitions=2, circuits=3, seed=6))
+        assert len(generated) == 3
+        assert [c for c in runs if c.num_qubits == 5] == generated
+        assert len(runs) == len(generated) + len(side_runs.pre) + len(side_runs.post)
 
     def test_failed_certificate_refused_before_any_table(self, side_runs, corrupted_decompositions):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2, repetitions=1, circuits=1)
