@@ -10,15 +10,16 @@ Subcommands:
 
 Exit code 0 means every requested check passed; exit code 2 with a one-line
 message means the input was rejected (a missing or malformed config, an
-experiment config field of the wrong type or range, a circuit document field
-of the wrong type, a non-finite angle, a circuit wider than the statevector
-simulator, a circuit without exactly one cross-partition MCZ, an epsilon or
-delta no budget meets or whose budget exceeds the shot ceiling
-``sampler.MAX_SHOTS``, a pre-estimation epsilon whose budget is below two
-shots per term, an out-of-range order or cut, a seed that is not a
-non-negative integer, a worker count below 1, an output path that cannot be
-written, a cut whose branch tables would exceed ``MAX_TABLE_BYTES``, or a
-cut whose decomposition cannot be certified).
+experiment config field of the wrong type or range, an experiment of more
+than ``experiments.MAX_CIRCUITS`` circuits or ``experiments.MAX_RUNS`` runs,
+a circuit document field of the wrong type, a non-finite angle, a circuit
+wider than the statevector simulator, a circuit without exactly one
+cross-partition MCZ, an epsilon or delta no budget meets or whose budget
+exceeds the shot ceiling ``sampler.MAX_SHOTS``, a pre-estimation epsilon
+whose budget is below two shots per term, an out-of-range order or cut, a
+seed that is not a non-negative integer, a worker count below 1, an output
+path that cannot be written, a cut whose branch tables would exceed
+``MAX_TABLE_BYTES``, or a cut whose decomposition cannot be certified).
 Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
 --seed is absent.

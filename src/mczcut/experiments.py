@@ -50,6 +50,9 @@ ROTATIONS = 30
 CNOTS = 10
 IMPACT_THRESHOLD = 0.2
 MAX_ATTEMPTS = 1000
+# The largest experiment: circuits drawn, and runs (repetitions x circuits).
+MAX_CIRCUITS = 10_000
+MAX_RUNS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
+        if self.circuits > MAX_CIRCUITS:
+            raise ValueError(f"circuits must be at most {MAX_CIRCUITS}, got {self.circuits}")
+        if self.repetitions * self.circuits > MAX_RUNS:
+            raise ValueError(f"repetitions x circuits must be at most {MAX_RUNS}, "
+                             f"got {self.repetitions * self.circuits}")
         for name in ("epsilon", "delta"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -123,8 +131,6 @@ def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator) -> Circ
     """
     if k + m != n or not 2 <= n <= 6:
         raise ValueError("need k + m = n with n between 2 and 6")
-    qubits_a = list(range(k))
-    qubits_b = list(range(k, n))
     rot_a, rot_b = _split_counts(ROTATIONS, k, m)
     cnots_a, cnots_b = _split_counts(CNOTS, k, m)
     if k < 2 and m < 2:  # CNOT needs two qubits on its side
@@ -136,28 +142,32 @@ def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator) -> Circ
     partition = tuple("A" if q < k else "B" for q in range(n))
     mcz = Gate("MCZ", tuple(range(n)))
 
-    def local_block(qubits, n_rot, n_cnot):
-        gates = []
+    def local_block(width, n_rot, n_cnot):
+        """One side's gates as (kind, qubits, angle) draws on side-local qubits."""
+        draws = []
         for _ in range(n_rot):
             kind = ("RX", "RY", "RZ")[rng.integers(3)]
-            # the draw rng.choice(qubits) makes, without its per-call overhead
-            qubit = qubits[int(rng.integers(len(qubits)))]
-            gates.append(Gate.unchecked(kind, (qubit,), float(rng.uniform(0, 2 * math.pi))))
+            # the draw rng.choice(width) makes, without its per-call overhead
+            draws.append((kind, (int(rng.integers(width)),), float(rng.uniform(0, 2 * math.pi))))
         for _ in range(n_cnot):
-            pair = rng.choice(qubits, size=2, replace=False)
-            gates.append(Gate.unchecked("CNOT", (int(pair[0]), int(pair[1]))))
-        rng.shuffle(gates)
-        return gates
+            pair = rng.choice(width, size=2, replace=False)
+            draws.append(("CNOT", (int(pair[0]), int(pair[1])), None))
+        rng.shuffle(draws)
+        return draws
+
+    def gates(draws, shift):
+        return [Gate(kind, tuple(q + shift for q in qubits), angle) for kind, qubits, angle in draws]
 
     for _ in range(MAX_ATTEMPTS):
         # half of each partition's gates before the central MCZ, half after
-        pre_a = local_block(qubits_a, rot_a // 2, cnots_a // 2)
-        pre_b = local_block(qubits_b, rot_b // 2, cnots_b // 2)
-        post_a = local_block(qubits_a, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
-        post_b = local_block(qubits_b, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
+        pre_a = local_block(k, rot_a // 2, cnots_a // 2)
+        pre_b = local_block(m, rot_b // 2, cnots_b // 2)
+        post_a = local_block(k, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
+        post_b = local_block(m, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
         with_gate, without = _screen(k, m, pre_a, pre_b, post_a, post_b)
         if abs(with_gate - without) > IMPACT_THRESHOLD:
-            circuit = Circuit(n, (*pre_a, *pre_b, mcz, *post_a, *post_b), partition)
+            circuit = Circuit(n, (*gates(pre_a, 0), *gates(pre_b, k), mcz,
+                                  *gates(post_a, 0), *gates(post_b, k)), partition)
             validate(circuit)
             return circuit
     raise RuntimeError(f"no circuit reached impact threshold {IMPACT_THRESHOLD} "
@@ -171,13 +181,13 @@ def _screen(k: int, m: int, pre_a, pre_b, post_a, post_b) -> tuple[float, float]
     G_ij = <x_i|U^dag Z U|x_j> over x = (a, P a), the value without the MCZ is
     G11^A G11^B and the MCZ adds 4 (G22^A G22^B - Re G12^A G12^B)."""
     grams = []
-    for width, offset, pre, post in ((k, 0, pre_a, post_a), (m, k, pre_b, post_b)):
+    for width, pre, post in ((k, pre_a, post_a), (m, pre_b, post_b)):
         size = 1 << width
         a = [1 + 0j] + [0j] * (size - 1)
-        _side_run(a, width, offset, pre)
+        _side_run(a, width, pre)
         # U a and U |1...1> run as one list, whose leading bit picks the vector
         both = a + [0j] * (size - 1) + [1 + 0j]
-        _side_run(both, width + 1, offset - 1, post)
+        _side_run(both, width, post)
         u, w = both[:size], both[size:]
         zu, zw = ([-x if bin(i).count("1") & 1 else x for i, x in enumerate(v)] for v in (u, w))
         g11, g12, g22 = (sum(x.conjugate() * y for x, y in zip(*pair)) for pair in ((u, zu), (u, zw), (w, zw)))
@@ -186,28 +196,30 @@ def _screen(k: int, m: int, pre_a, pre_b, post_a, post_b) -> tuple[float, float]
     return a11 * b11 + 4 * (a22 * b22 - (a12 * b12).real), a11 * b11
 
 
-def _side_run(v: list, width: int, offset: int, gates) -> None:
-    """Apply one side's rotations and CNOTs to a list of 2^width amplitudes in place."""
-    for gate in gates:
-        bit = 1 << (width - 1 - gate.qubits[-1] + offset)  # a rotation's qubit, a CNOT's target
-        if gate.kind == "CNOT":
-            for i, j in _pairs(width, bit, 1 << (width - 1 - gate.qubits[0] + offset)):
+def _side_run(v: list, width: int, draws) -> None:
+    """Apply one side's (kind, qubits, angle) draws on ``width`` qubits to the
+    amplitude list ``v`` in place; bits above the side's, as in a stacked pair
+    of vectors, pass through."""
+    for kind, qubits, angle in draws:
+        bit = 1 << (width - 1 - qubits[-1])  # a rotation's qubit, a CNOT's target
+        if kind == "CNOT":
+            for i, j in _pairs(len(v), bit, 1 << (width - 1 - qubits[0])):
                 v[i], v[j] = v[j], v[i]
             continue
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        m00, m01, m10, m11 = ((c, -1j * s, -1j * s, c) if gate.kind == "RX" else (c, -s, s, c)
-                              if gate.kind == "RY" else (complex(c, -s), 0j, 0j, complex(c, s)))
-        for i, j in _pairs(width, bit):
+        c, s = math.cos(angle / 2), math.sin(angle / 2)
+        m00, m01, m10, m11 = ((c, -1j * s, -1j * s, c) if kind == "RX" else (c, -s, s, c)
+                              if kind == "RY" else (complex(c, -s), 0j, 0j, complex(c, s)))
+        for i, j in _pairs(len(v), bit):
             x, y = v[i], v[j]
             v[i], v[j] = m00 * x + m01 * y, m10 * x + m11 * y
 
 
 @functools.cache
-def _pairs(width: int, bit: int, control: int = 0) -> tuple[tuple[int, int], ...]:
-    """Index pairs (i, i | bit) of 2^width amplitudes with ``bit`` clear and every control bit set.
+def _pairs(size: int, bit: int, control: int = 0) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i, i | bit) of ``size`` amplitudes with ``bit`` clear and every control bit set.
 
-    Cached: widths of at most 6 (a 5-qubit side run beside a second list) bound the cache."""
-    return tuple((i, i | bit) for i in range(1 << width) if not i & bit and i & control == control)
+    Cached: sizes of at most 64 (a 5-qubit side run beside a second list) bound the cache."""
+    return tuple((i, i | bit) for i in range(size) if not i & bit and i & control == control)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +316,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRow]:
     pool_size = min(workers, len(tasks), _usable_cpus())
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            rows = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // pool_size)))
-    else:
-        rows = [_run_one(t) for t in tasks]
-    rows.sort(key=lambda r: (r.repetition, r.circuit_index))
-    return rows
+            return list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // pool_size)))
+    return [_run_one(t) for t in tasks]
 
 
 def rows_to_csv(rows: list[RunRow]) -> str:

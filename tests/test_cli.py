@@ -508,7 +508,8 @@ class TestRejectedInput:
                                         {"repetitions": 2.0}, {"num_qubits": 3.0}, {"k": 1.0},
                                         {"k": 0, "m": 3}, {"circuits": 0}, {"circuits": -1},
                                         {"epsilon": True}, {"version": True}, {"version": 1.0},
-                                        {"delta": None, "mode": "circuit_sampling"}],
+                                        {"delta": None, "mode": "circuit_sampling"},
+                                        {"repetitions": 10**12}, {"circuits": 10**9}],
                              ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()))
     def test_experiment_config_fields(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "config.json"

@@ -69,9 +69,14 @@ def screened(n, k, seed):
 
 
 def exact_values(n, candidate):
-    """A candidate's Z-string values with and without its MCZ, from full-register runs."""
-    _, _, pre_a, pre_b, post_a, post_b = candidate
-    pre, post = tuple(pre_a + pre_b), tuple(post_a + post_b)
+    """A candidate's Z-string values with and without its MCZ, from full-register runs
+    of its (kind, qubits, angle) draws, B-side qubits shifted by k."""
+    k, _, pre_a, pre_b, post_a, post_b = candidate
+
+    def gates(draws, shift):
+        return tuple(Gate(kind, tuple(q + shift for q in qubits), angle) for kind, qubits, angle in draws)
+
+    pre, post = gates(pre_a, 0) + gates(pre_b, k), gates(post_a, 0) + gates(post_b, k)
     obs = Observable.z_string(n)
     return (densesim.expval(densesim.run(Circuit(n, pre + (Gate("MCZ", tuple(range(n))),) + post)), obs),
             densesim.expval(densesim.run(Circuit(n, pre + post)), obs))
@@ -89,7 +94,7 @@ class TestRandomCircuits:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_screen_matches_exact_values(self, n):
-        # at least 30 candidates at each of the 20 splits of n = 2-6
+        # at least 30 candidates at each of the 15 splits of n = 2-6
         for k in range(1, n):
             seen, seed = [], 0
             while len(seen) < 30:
