@@ -1,4 +1,4 @@
-"""Circuit and observable data model, partition bookkeeping, and serialization.
+"""Circuit data model, the Z-string observable, partition bookkeeping, and serialization.
 
 Conventions fixed here and enforced everywhere else in the package:
 
@@ -9,6 +9,8 @@ Conventions fixed here and enforced everywhere else in the package:
 * MCP(theta) is the diagonal gate diag(1, ..., 1, e^{i theta}) on its qubit
   set; MCZ is MCP(pi).  Both are symmetric under any permutation of their
   qubits, so the stored qubit order carries no meaning beyond identity.
+* The one observable is the parity of the full Z-string, whose value on
+  every bitstring is +1 or -1.
 
 All types in this module are immutable values after construction and safe to
 share between threads.
@@ -145,13 +147,12 @@ class PartitionedCut:
 
 
 def validate(circuit: Circuit) -> None:
-    """Check every type invariant; raise ValueError naming the first violation."""
+    """Check the circuit's invariants (each Gate checks its own when built);
+    raise ValueError naming the first violation."""
     n = circuit.num_qubits
     if n < 1:
         raise ValueError("num_qubits must be positive")
     for i, gate in enumerate(circuit.gates):
-        if len(set(gate.qubits)) != len(gate.qubits):
-            raise ValueError(f"gate {i} ({gate.kind}): duplicate qubit")
         for q in gate.qubits:
             if not 0 <= q < n:
                 raise ValueError(f"gate {i} ({gate.kind}): qubit index {q} out of range for {n} qubits")
@@ -277,7 +278,7 @@ def _is_finite(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Observables: diagonal, defined by a post-processing function on bitstrings.
+# Observables: the parity of the full Z-string.
 # ---------------------------------------------------------------------------
 
 def odd_parity(x: np.ndarray, n: int) -> np.ndarray:
@@ -300,37 +301,25 @@ def _parity_values(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observable:
-    """Diagonal observable given by post-processing values f(s) in [-1, 1].
+    """The parity of the full Z-string Z (x) ... (x) Z on ``num_qubits`` qubits.
 
-    ``values[i]`` is f evaluated on the bitstring with basis index i (qubit 0
-    as most significant bit).  The default observable is the parity of the
-    full Z-string.
+    ``values[i]`` is +1 or -1, the parity of the bitstring with basis index i
+    (qubit 0 as most significant bit).  Every value is +-1, so every score the
+    samplers form from it is too.
     """
 
     num_qubits: int
-    values: np.ndarray = field(repr=False)
-    kind: str = "custom"
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (2**self.num_qubits,):
-            raise ValueError(f"observable needs 2^{self.num_qubits} values, got shape {vals.shape}")
-        if np.any(np.abs(vals) > 1 + 1e-12):
-            raise ValueError("observable values must lie in [-1, 1]")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _parity_values(self.num_qubits))
 
     @staticmethod
     def z_string(n: int) -> "Observable":
         """Parity of the full Z-string Z (x) ... (x) Z."""
-        return Observable(n, _parity_values(n), kind="z_string")
+        return Observable(n)
 
     def factor(self, qubits_a: tuple[int, ...], qubits_b: tuple[int, ...]):
-        """Split into per-partition observables with f(s) = f_A(s_A) * f_B(s_B).
-
-        Only the parity observable factorizes automatically; custom observables
-        must be supplied pre-factored by the caller.
-        """
-        if self.kind != "z_string":
-            raise ValueError("only the Z-string observable factorizes automatically; "
-                             "pass explicit per-partition observables instead")
-        return Observable.z_string(len(qubits_a)), Observable.z_string(len(qubits_b))
+        """Split into per-partition observables with f(s) = f_A(s_A) * f_B(s_B):
+        the parity of every qubit is the product of each side's parity."""
+        return Observable(len(qubits_a)), Observable(len(qubits_b))

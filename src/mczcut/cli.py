@@ -16,7 +16,8 @@ a circuit document field of the wrong type, a non-finite angle, a circuit
 wider than the statevector simulator, a circuit without exactly one
 cross-partition MCZ, an epsilon or delta no budget meets or whose budget
 exceeds the shot ceiling ``sampler.MAX_SHOTS``, a pre-estimation epsilon
-whose budget is below two shots per term, an out-of-range order or cut, a
+whose budget ``sampler.allocate`` cannot split over the terms at one shot
+per subcircuit or whose square overflows, an out-of-range order or cut, a
 seed that is not a non-negative integer, a worker count below 1, an output
 path that cannot be written, a cut whose branch tables would exceed
 ``MAX_TABLE_BYTES``, or a cut whose decomposition cannot be certified).
@@ -203,7 +204,7 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
         else:
             total = sampler.preestimation_budget(epsilon, decomposition.kappa)
             budget = sampler.ShotBudget(total + total % 2, epsilon, decomposition.kappa, mode="preestimation")
-            sampler.check_term_floor(budget.total, len(decomposition.terms), epsilon)
+            sampler.check_term_floor(budget.total, decomposition.terms, epsilon)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if cut.order > cutter.MAX_CERTIFIED_ORDER:

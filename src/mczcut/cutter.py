@@ -526,8 +526,6 @@ def _cut_side(cut: PartitionedCut, label: str) -> CutSide:
 def embed(decomposition: Decomposition, cut: PartitionedCut) -> list[EmbeddedTerm]:
     """Place every term of the decomposition on the cut's two sides, which
     are built once and shared by all terms."""
-    if decomposition.order != cut.order:
-        raise ValueError(f"decomposition order {decomposition.order} does not match cut order {cut.order}")
     if (decomposition.k, decomposition.m) != (cut.k, cut.m):
         raise ValueError(f"decomposition split ({decomposition.k},{decomposition.m}) "
                          f"does not match cut split ({cut.k},{cut.m})")
@@ -546,8 +544,9 @@ class SideTable:
 
     * ``probs``: the normalised branch probabilities;
     * ``dists``: each branch's normalised outcome distribution;
-    * ``signs``: each branch's sign, which multiplies the side's
-      observable ``values`` in every shot of that branch.
+    * ``signs``: each branch's sign, 0 or +-1, which multiplies the side's
+      observable ``values`` (its Z-string parities, each +-1) in every shot
+      of that branch.
 
     A branch is one term (w, d) of the operation's signed-diagonal expansion,
     the one certification reads: a phase diagonal d is applied with
@@ -590,8 +589,12 @@ def term_tables(terms: list[EmbeddedTerm], values_a: np.ndarray, values_b: np.nd
     single table, so every distribution keeps its bits.  Tables depend only
     on the sides and operations, never on a seed, so one list serves every
     estimate over the same terms (the ``tables=`` keyword of the sampler's
-    estimators).
+    estimators).  Each side's values are the parities of its Z-string, so a
+    value that is not +-1 is refused: the samplers' sums rest on it.
     """
+    for label, values in (("A", values_a), ("B", values_b)):
+        if not np.all((values == 1.0) | (values == -1.0)):
+            raise ValueError(f"side {label} values must all be +1 or -1 (a Z-string parity)")
     pre_states = {side: densesim.run(Circuit(side.num_qubits, side.pre_gates))
                   for side in dict.fromkeys(side for t in terms for side in (t.side_a, t.side_b))}
     simulated: dict[tuple, tuple[float | None, np.ndarray] | None] = {}
@@ -666,9 +669,9 @@ def final_state(cut: PartitionedCut) -> densesim.StateVector:
     that skipped an outcome of probability p would miss sqrt(p) in
     amplitude).  The result carries ``densesim.run``'s norm-drift check.
     """
-    circuit = cut.circuit
+    side_a, side_b = _cut_side(cut, "A"), _cut_side(cut, "B")
     sides = []
-    for side in (_cut_side(cut, "A"), _cut_side(cut, "B")):
+    for side in (side_a, side_b):
         pre_state = densesim.run(Circuit(side.num_qubits, side.pre_gates))
         on_ones = np.zeros(2**len(side.op_qubits))
         on_ones[-1] = 1.0
@@ -682,7 +685,7 @@ def final_state(cut: PartitionedCut) -> densesim.StateVector:
     # minus 2 (a2 (x) b2) by row blocks: no second full-size array, same bits
     for rows, doubled_rows in zip(np.array_split(joint, 8), np.array_split(2.0 * a2, 8)):
         rows -= np.outer(doubled_rows, b2)
-    n = circuit.num_qubits
-    order = circuit.qubits_in("A") + circuit.qubits_in("B")
+    n = cut.circuit.num_qubits
+    order = side_a.source_qubits + side_b.source_qubits
     amplitudes = joint.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
     return densesim.check_norm(densesim.StateVector(amplitudes, n))

@@ -98,8 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         shots = experiment_shots(self)  # rejects an epsilon or delta no budget meets
         if self.mode == "preestimation":
-            terms = len(cutter.decompose_mcz(self.k, self.m).terms)
-            sampler.check_term_floor(shots, terms, self.epsilon)
+            sampler.check_term_floor(shots, cutter.decompose_mcz(self.k, self.m).terms, self.epsilon)
 
     @staticmethod
     def from_document(doc: dict) -> "ExperimentConfig":

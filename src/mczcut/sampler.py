@@ -5,7 +5,10 @@ per shot with probability |a_i| / kappa, runs both subcircuits once, and
 averages kappa * sign(a_i) * xi_A f_A(s_A) * xi_B f_B(s_B); the Hoeffding
 bound sizes its budget.  Pre-estimation mode first estimates every
 subcircuit expectation with its allocated share N_i = |a_i| N / (2 kappa)
-of the budget and then combines them as sum_i a_i <O_A>_i <O_B>_i.
+of the budget and then combines them as sum_i a_i <O_A>_i <O_B>_i.  Each
+f is a side's Z-string parity, +-1 on every outcome (``term_tables`` refuses
+other values), and each branch sign xi is 0 or +-1, so no shot scores more
+than kappa in absolute value.
 
 Sampling is executed by aggregated multinomial draws over the exact branch
 and outcome distributions, which is statistically identical to a per-shot
@@ -91,15 +94,22 @@ def hoeffding_shots(epsilon: float, delta: float, kappa: float) -> int:
 def preestimation_budget(epsilon: float, kappa: float) -> int:
     """N = ceil(4 kappa^2 / eps^2), bounding the estimator's std-dev by eps."""
     check_accuracy(epsilon)
-    return _shot_count(4.0 * kappa**2 / epsilon**2 if epsilon**2 else math.inf, epsilon)
+    try:
+        bound = 4.0 * kappa**2 / epsilon**2 if epsilon**2 else math.inf
+    except OverflowError:  # eps^2 beyond the float range, so the bound is far below one shot
+        raise ValueError(f"epsilon {epsilon!r} is so large that its budget falls below "
+                         f"one shot per subcircuit of every term") from None
+    return _shot_count(bound, epsilon)
 
 
-def check_term_floor(total: int, num_terms: int, epsilon: float) -> None:
-    """Refuse a pre-estimation budget below one shot per subcircuit of every
-    term (2 x terms), the least ``allocate`` can split; a large epsilon gives one."""
-    if total < 2 * num_terms:
-        raise ValueError(f"epsilon {epsilon!r} gives a budget of {total} shots, below the "
-                         f"{2 * num_terms} that one shot per subcircuit of {num_terms} terms needs")
+def check_term_floor(total: int, terms, epsilon: float) -> None:
+    """Refuse a pre-estimation budget that ``allocate`` cannot split over the
+    terms, at one shot per subcircuit of each; a large epsilon gives one."""
+    try:
+        allocate(terms, total)
+    except ValueError:
+        raise ValueError(f"epsilon {epsilon!r} gives a budget of {total} shots, too few to split "
+                         f"over {len(terms)} terms by |a_i| at one shot or more per subcircuit") from None
 
 
 def allocate(terms, total: int) -> list[int]:
@@ -276,10 +286,12 @@ def _term_streams(seed: int, head: int, tails: list[tuple[int, ...]]):
 
 def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
     """Draw ``shots`` independent runs of one subcircuit; return (sum, sum of squares).
-    A branch's sign (0 or +-1) and its square multiply its sums, exactly."""
+
+    Every value is +-1 (``term_tables`` checks it) and every sign 0 or +-1,
+    so a branch's ``count`` shots add sign^2 * count to the sum of squares,
+    and each sum below 2^53 is an exact integer."""
     # one branch takes every shot; numpy's multinomial over one category draws nothing
     branch_counts = (shots,) if table.probs.size == 1 else rng.multinomial(shots, table.probs)
-    squares = table.values**2
     total = 0.0
     total_sq = 0.0
     for count, dist, sign in zip(branch_counts, table.dists, table.signs):
@@ -287,7 +299,7 @@ def _sample_side_sum(table: SideTable, shots: int, rng: np.random.Generator):
             continue
         outcome_counts = rng.multinomial(count, dist)
         total += sign * float(outcome_counts @ table.values)
-        total_sq += sign**2 * float(outcome_counts @ squares)
+        total_sq += sign**2 * float(count)
     return total, total_sq
 
 
@@ -296,15 +308,13 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
     """Draw ``shots`` paired runs; return per-shot product sums (sum, sum of squares, max |v|).
 
     A branch pair's outcome counts C (A outcomes by B outcomes) are scored as
-    side contractions: the sum is vals_a C vals_b, the sum of squares
-    sq_a C sq_b, and the largest |v| is the maximum over a of |v_a| times the
-    largest |v_b| with C_ab > 0, each times the pair's signs.  Precondition:
-    every value and sign is 0 or +-1 and ``shots`` is below 2^53, so each
-    partial sum is an exact integer and the contractions give the bits of the
-    per-outcome products in any order; above it (``sample --mode shots
+    the side contraction vals_a C vals_b times the pair's sign.  Every value
+    is +-1 (``term_tables`` checks it) and every sign 0 or +-1, so each of
+    the pair's ``count`` shots scores +-|sign|: it adds sign^2 * count to the
+    sum of squares, and |sign| is its largest |v|.  Below 2^53 shots each
+    partial sum is an exact integer, so the contraction gives the bits of
+    the per-outcome products in any order; above it (``sample --mode shots
     --epsilon 1e-7`` draws 1.5e16) the sums round and may depend on the order.
-    The maximum keeps its bits for any values, since rounding is monotone and
-    |x y| = |x| |y|.
     """
     joint = np.outer(table_a.probs, table_b.probs).reshape(-1)
     pair_counts = rng.multinomial(shots, joint).reshape(table_a.probs.size, table_b.probs.size)
@@ -313,8 +323,6 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
     # 2^(s_A + s_B) entries.
     pair = np.empty((table_a.dists[0].size, table_b.dists[0].size))
     vals_a, vals_b = table_a.values, table_b.values
-    sq_a, sq_b = vals_a**2, vals_b**2
-    abs_a, abs_b = np.abs(vals_a), np.abs(vals_b)
     total = 0.0
     total_sq = 0.0
     vmax = 0.0
@@ -327,10 +335,8 @@ def _sample_joint_products(table_a: SideTable, table_b: SideTable, shots: int,
             np.copyto(pair, rng.multinomial(count, pair.reshape(-1)).reshape(pair.shape))
             sign = sign_a * sign_b
             total += sign * float(vals_a @ (pair @ vals_b))
-            total_sq += sign**2 * float(sq_a @ (pair @ sq_b))
-            largest_b = np.maximum.reduce(np.broadcast_to(abs_b, pair.shape), axis=1,
-                                          where=pair > 0, initial=0.0)
-            vmax = max(vmax, abs(sign) * float(np.max(abs_a * largest_b)))
+            total_sq += sign**2 * float(count)
+            vmax = max(vmax, abs(sign))
     return total, total_sq, vmax
 
 

@@ -201,20 +201,15 @@ class TestObservable:
             expected = np.where(ones % 2 == 0, 1.0, -1.0)
             assert Observable.z_string(n).values.tobytes() == expected.tobytes()
 
-    def test_values_bounded(self):
-        with pytest.raises(ValueError, match="-1, 1"):
-            Observable(1, np.array([2.0, 0.0]))
-
     def test_parity_factorizes(self):
-        obs = Observable.z_string(4)
-        fa, fb = obs.factor((0, 2), (1, 3))
-        for s in range(16):
-            bits = format(s, "04b")
-            sa = int(bits[0] + bits[2], 2)
-            sb = int(bits[1] + bits[3], 2)
-            assert obs.values[s] == fa.values[sa] * fb.values[sb]
-
-    def test_custom_does_not_autofactor(self):
-        obs = Observable(2, np.array([0.0, 0.5, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="factoriz"):
-            obs.factor((0,), (1,))
+        # interleaved partitions of n = 3 to 8 qubits
+        for qubits_a in [(0, 2), (1,), (0, 3, 4), (1, 2, 5), (0, 2, 4, 6), (1, 4, 5, 6)]:
+            n = max(qubits_a) + 2
+            qubits_b = tuple(q for q in range(n) if q not in qubits_a)
+            obs = Observable.z_string(n)
+            fa, fb = obs.factor(qubits_a, qubits_b)
+            for s in range(2**n):
+                bits = format(s, f"0{n}b")
+                sa = int("".join(bits[q] for q in qubits_a), 2)
+                sb = int("".join(bits[q] for q in qubits_b), 2)
+                assert obs.values[s] == fa.values[sa] * fb.values[sb]

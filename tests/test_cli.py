@@ -415,7 +415,10 @@ class TestRejectedInput:
     @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--epsilon", "nan"],
                                        ["--mode", "shots", "--delta", "1.5"]] + [
         pytest.param(["--mode", mode, "--epsilon", eps], id=f"{mode}-epsilon-{eps}")
-        for mode in ("shots", "preest") for eps in ("1e-10", "1e-160", "1e-300")])
+        for mode in ("shots", "preest") for eps in ("1e-10", "1e-160", "1e-300")] + [
+        # epsilons whose square overflows: a budget far below the term floor
+        pytest.param(["--mode", mode, "--epsilon", eps], id=f"{mode}-epsilon-{eps}")
+        for mode in ("shots", "preest") for eps in ("1e200", "1e308")])
     def test_sample_accuracy_targets(self, tmp_path, capsys, flags):
         out = tmp_path / "record.json"
         argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "1", "--out", str(out)]
@@ -428,7 +431,9 @@ class TestRejectedInput:
                                         {"mode": "circuit_sampling", "delta": 1.5}] + [
         pytest.param({"mode": mode, "epsilon": eps}, id=f"{mode}-epsilon-{eps}")
         for mode in ("preestimation", "circuit_sampling") for eps in (1e-10, 1e-300)] + [
-        pytest.param({"epsilon": 10**400}, id="huge-integer-epsilon")])  # beyond the float range
+        pytest.param({"epsilon": 10**400}, id="huge-integer-epsilon")] + [  # beyond the float range
+        pytest.param({"mode": mode, "epsilon": eps}, id=f"{mode}-epsilon-{eps}")  # its square overflows
+        for mode in ("preestimation", "circuit_sampling") for eps in (1e200, 1e308)])
     def test_experiment_accuracy_targets(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
@@ -439,23 +444,32 @@ class TestRejectedInput:
 
 
     def test_sample_epsilon_below_term_floor(self, tmp_path, capsys):
-        # preest at eps = 10 budgets 2 shots; the CZ cut's 6 terms need 12
+        # preest at eps = 10 budgets 2 shots; the CZ cut's 6 terms need 12.
+        # The CZ budget of 20 at eps = 1.35 and the CCZ budget of 36 at
+        # eps = 1.5 (16 terms) pass that floor, but allocate cannot split them.
+        ccz = tmp_path / "ccz.json"
+        ccz.write_text(serialize(padded_ccz_circuit()))
         out = tmp_path / "record.json"
-        argv = ["sample", "--config", str(bell_document(tmp_path)), "--seed", "1", "--out", str(out)]
-        assert cli.main(argv + ["--mode", "preest", "--epsilon", "10"]) == 2
-        captured = capsys.readouterr()
-        assert len(captured.err.splitlines()) == 1 and "epsilon" in captured.err and "6 terms" in captured.err
-        assert captured.out == "" and not out.exists()
+        for document, epsilon, terms in ((bell_document(tmp_path), "10", 6),
+                                         (bell_document(tmp_path), "1.35", 6), (ccz, "1.5", 16)):
+            argv = ["sample", "--config", str(document), "--seed", "1", "--out", str(out)]
+            assert cli.main(argv + ["--mode", "preest", "--epsilon", epsilon]) == 2
+            captured = capsys.readouterr()
+            assert len(captured.err.splitlines()) == 1 and f"epsilon {epsilon}" in captured.err
+            assert f"{terms} terms" in captured.err
+            assert captured.out == "" and not out.exists()
 
     def test_experiment_epsilon_below_term_floor(self, tmp_path, capsys):
-        # the (2, 3) cut has 17 terms; eps = 100 budgets 2 shots
+        # the (2, 3) cut has 17 terms; eps = 100 budgets 2 shots, and eps = 2
+        # budgets 36, above the 34 of one shot per subcircuit but too few to split
         cfg_path = tmp_path / "config.json"
-        fields = {"num_qubits": 5, "k": 2, "m": 3, "epsilon": 100}
-        cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
-        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert len(captured.err.splitlines()) == 1 and "17 terms" in captured.err
-        assert captured.out == "" and not (tmp_path / "out").exists()
+        for epsilon in (100, 2):
+            fields = {"num_qubits": 5, "k": 2, "m": 3, "epsilon": epsilon}
+            cfg_path.write_text(json.dumps({**EXPERIMENT_CONFIG, **fields}))
+            assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+            captured = capsys.readouterr()
+            assert len(captured.err.splitlines()) == 1 and "17 terms" in captured.err
+            assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_sample_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "record.json"

@@ -94,6 +94,34 @@ class TestAllocate:
         with pytest.raises(ValueError, match="even"):
             allocate(d.terms, 601)
 
+    def test_term_floor_follows_allocate(self):
+        # every split of orders 2-10, at the budgets sample (the split's kappa)
+        # and experiment (BUDGET_KAPPA) give over a grid of epsilon; some of
+        # them reach two shots per term and still cannot be split
+        outcomes = set()
+        unsplit_above_two_per_term = 0
+        for order in range(2, 11):
+            for k in range(1, order):
+                d = decompose_mcz(k, order - k)
+                for kappa in (d.kappa, experiments.BUDGET_KAPPA):
+                    for epsilon in np.linspace(0.05, 5, 100).tolist():
+                        total = preestimation_budget(epsilon, kappa)
+                        total += total % 2
+                        try:
+                            allocate(d.terms, total)
+                            splits = True
+                        except ValueError:
+                            splits = False
+                        try:
+                            sampler.check_term_floor(total, d.terms, epsilon)
+                            passes = True
+                        except ValueError:
+                            passes = False
+                        assert passes == splits, (k, order - k, kappa, epsilon, total)
+                        outcomes.add(passes)
+                        unsplit_above_two_per_term += not splits and total >= 2 * len(d.terms)
+        assert outcomes == {True, False} and unsplit_above_two_per_term > 0
+
     @given(st.integers(100, 4000))
     @settings(max_examples=25, deadline=None)
     def test_conservation_property(self, half):
@@ -317,11 +345,21 @@ class TestTermTables:
         # both sides of a bare CZ have the same (empty) gates, so their plans
         # share branches; each table still scores its own side's values
         terms = embed(decompose_mcz(1, 1), find_cut(Circuit(2, (cz(0, 1),), ("A", "B"))))
-        va, vb = np.array([1.0, -1.0]), np.array([2.0, 3.0])
+        va, vb = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
         for term, (table_a, table_b) in zip(terms, cutter.term_tables(terms, va, vb)):
             for (side, op), table, values in zip(term_plans([term]), (table_a, table_b), (va, vb)):
                 expected = reference_table(normalised(reference_side_branches(side, op)), values)
                 assert table.signs == expected.signs and table.values is values
+
+    @pytest.mark.parametrize("side,values", [("A", [2.0, 3.0]), ("A", [0.0, 1.0]), ("B", [1.0, 0.5]),
+                                             ("B", [1.0, np.nan]), ("A", [1j, -1.0])])
+    def test_values_other_than_plus_minus_one_refused(self, side, values):
+        # the samplers' sums and maxima rest on every value being +-1
+        terms = embed(decompose_mcz(1, 1), find_cut(Circuit(2, (cz(0, 1),), ("A", "B"))))
+        parity = np.array([1.0, -1.0])
+        va, vb = (np.array(values), parity) if side == "A" else (parity, np.array(values))
+        with pytest.raises(ValueError, match=f"side {side} values must all be"):
+            cutter.term_tables(terms, va, vb)
 
     @pytest.mark.parametrize("interleaved", [False, True], ids=["blocked", "interleaved"])
     @pytest.mark.parametrize("k,m", SPLITS)
