@@ -9,18 +9,19 @@ Subcommands:
 * ``experiment``   -- the Fig-style uncut/cut comparison dataset
 
 Exit code 0 means every requested check passed; exit code 2 with a one-line
-message means the input was rejected (a missing or malformed config, an
-experiment config field of the wrong type or range, an experiment of more
-than ``experiments.MAX_CIRCUITS`` circuits or ``experiments.MAX_RUNS`` runs,
-a circuit document field of the wrong type, a non-finite angle, a circuit
-wider than the statevector simulator, a circuit without exactly one
-cross-partition MCZ, an epsilon or delta no budget meets or whose budget
-exceeds the shot ceiling ``sampler.MAX_SHOTS``, a pre-estimation epsilon
-whose budget ``sampler.allocate`` cannot split over the terms at one shot
-per subcircuit or whose square overflows, an out-of-range order or cut, a
-seed that is not a non-negative integer, a worker count below 1, an output
-path that cannot be written, a cut whose branch tables would exceed
-``MAX_TABLE_BYTES``, or a cut whose decomposition cannot be certified).
+message means the input was rejected (a malformed command line, a missing or
+malformed config, an experiment config field of the wrong type or range, an
+experiment of more than ``experiments.MAX_CIRCUITS`` circuits or
+``experiments.MAX_RUNS`` runs, a circuit document field of the wrong type, a
+non-finite angle, a circuit wider than the statevector simulator, a circuit
+without exactly one cross-partition MCZ, an epsilon or delta no budget meets
+or whose budget exceeds the shot ceiling ``sampler.MAX_SHOTS``, a
+pre-estimation epsilon whose budget ``sampler.allocate`` cannot split over
+the terms at one shot per subcircuit or whose square overflows, an
+out-of-range order or cut, a seed that is not a non-negative integer, a
+worker count below 1, an output path that cannot be written, a cut whose
+branch tables would exceed ``MAX_TABLE_BYTES``, or a cut whose decomposition
+cannot be certified).
 Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
 --seed is absent.
@@ -55,6 +56,13 @@ MAX_TABLE_BYTES = 2**31
 
 class InputError(Exception):
     """Rejected input; ``main`` reports it as one line and exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ``InputError``; subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _write(path: Path, text: str) -> None:
@@ -265,8 +273,7 @@ def cmd_experiment(config_path: str, out_dir: str, workers: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mczcut",
-                                     description="Multi-controlled-Z gate cutting toolkit")
+    parser = _Parser(prog="mczcut", description="Multi-controlled-Z gate cutting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the identity and oracle suite")
@@ -297,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except InputError as exc:
         print(f"mczcut: error: {exc}", file=sys.stderr)
         return 2
@@ -315,9 +321,7 @@ def _dispatch(args) -> int:
     if args.command == "sample":
         return cmd_sample(args.config, args.mode, args.epsilon,
                           _default_seed(args.seed), args.delta, args.out)
-    if args.command == "experiment":
-        return cmd_experiment(args.config, args.out, args.workers)
-    raise SystemExit(f"unknown command {args.command!r}")
+    return cmd_experiment(args.config, args.out, args.workers)  # the parser admits no other command
 
 
 if __name__ == "__main__":

@@ -537,10 +537,11 @@ def embed(decomposition: Decomposition, cut: PartitionedCut) -> list[EmbeddedTer
 # Exact branch semantics of an embedded subcircuit
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SideTable:
     """What the samplers draw from for one operation on one side, computed
-    once per table rather than per estimate:
+    once per table rather than per estimate, and frozen, since every
+    estimate over the same terms reads it:
 
     * ``probs``: the normalised branch probabilities;
     * ``dists``: each branch's normalised outcome distribution;
@@ -631,7 +632,7 @@ def _simulate_branch(side: CutSide, projective: bool, pre_state: densesim.StateV
         except ValueError:
             return None
     else:
-        state, prob = densesim.apply_diagonal(pre_state.copy(), side.op_qubits, diagonal), None
+        state, prob = densesim.apply_diagonal(pre_state, side.op_qubits, diagonal), None
     distribution = densesim.run(Circuit(side.num_qubits, side.post_gates), state).probabilities()
     distribution /= distribution.sum()  # in place: the bits of distribution / distribution.sum()
     return prob, distribution
@@ -675,9 +676,9 @@ def final_state(cut: PartitionedCut) -> densesim.StateVector:
         pre_state = densesim.run(Circuit(side.num_qubits, side.pre_gates))
         on_ones = np.zeros(2**len(side.op_qubits))
         on_ones[-1] = 1.0
-        projected = densesim.apply_diagonal(pre_state.copy(), side.op_qubits, on_ones)
+        projected = densesim.apply_diagonal(pre_state, side.op_qubits, on_ones)
         for gate in side.post_gates:
-            densesim.apply_gate(projected, gate)
+            projected = densesim.apply_gate(projected, gate)
         after = densesim.run(Circuit(side.num_qubits, side.post_gates), pre_state)
         sides.append((after.amplitudes, projected.amplitudes))
     (a1, a2), (b1, b2) = sides

@@ -14,6 +14,10 @@ orders (cutter certifies with diagonal channel multipliers instead):
 
 Both give the same bits as the literal per-term loops.
 
+A ``StateVector`` is a frozen value: every kernel returns a new state over a
+new amplitude array and leaves its argument as it was, so one state serves,
+uncopied, as the pre-cut state of every branch of a side.
+
 Full matrices are built only inside the superoperator routines; gates act on
 the amplitude array viewed as an n-axis tensor of 2s:
 
@@ -67,9 +71,10 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     raise ValueError(f"not a rotation kind: {kind}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over 2^n basis states; qubit 0 is the MSB."""
+    """Complex amplitudes over 2^n basis states; qubit 0 is the MSB.  Frozen:
+    the kernels return new states and never write to ``amplitudes``."""
 
     amplitudes: np.ndarray
     num_qubits: int
@@ -81,9 +86,6 @@ class StateVector:
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = 1.0
         return StateVector(amps, n)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.num_qubits)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -159,37 +161,35 @@ def _apply_phase_on_ones(amps: np.ndarray, n: int, qubits, phase: complex) -> np
 
 
 def apply_gate(state: StateVector, gate) -> StateVector:
-    """Apply one circuit gate in place and return the state."""
+    """The state after one circuit gate, as a new state."""
     n = state.num_qubits
     for q in gate.qubits:
         if not 0 <= q < n:
             raise ValueError(f"gate qubit {q} out of range for {n}-qubit state")
-    kind = gate.kind
+    kind, amps = gate.kind, state.amplitudes
     if kind in ("RX", "RY", "RZ"):
-        state.amplitudes = _apply_single(state.amplitudes, n, rotation_matrix(kind, gate.angle), gate.qubits[0])
+        amps = _apply_single(amps, n, rotation_matrix(kind, gate.angle), gate.qubits[0])
     elif kind in GATE_MATRICES:
-        state.amplitudes = _apply_single(state.amplitudes, n, GATE_MATRICES[kind], gate.qubits[0])
+        amps = _apply_single(amps, n, GATE_MATRICES[kind], gate.qubits[0])
     elif kind == "CNOT":
-        state.amplitudes = _apply_cnot(state.amplitudes, n, gate.qubits[0], gate.qubits[1])
+        amps = _apply_cnot(amps, n, gate.qubits[0], gate.qubits[1])
     elif kind in ("CZ", "MCZ"):
-        state.amplitudes = _apply_phase_on_ones(state.amplitudes, n, gate.qubits, -1.0)
+        amps = _apply_phase_on_ones(amps, n, gate.qubits, -1.0)
     elif kind == "MCP":
-        state.amplitudes = _apply_phase_on_ones(state.amplitudes, n, gate.qubits, np.exp(1j * gate.angle))
+        amps = _apply_phase_on_ones(amps, n, gate.qubits, np.exp(1j * gate.angle))
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
-    return state
+    return StateVector(amps, n)
 
 
 def run(circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's gates in order to a copy of the initial state."""
-    if initial is None:
-        state = StateVector.zero(circuit.num_qubits)
-    else:
-        if 2**circuit.num_qubits != initial.amplitudes.size:
-            raise ValueError("dimension mismatch between circuit and initial state")
-        state = initial.copy()
+    """The state after the circuit's gates in order, from the initial state
+    (|0...0> when omitted), which is left as it was."""
+    state = StateVector.zero(circuit.num_qubits) if initial is None else initial
+    if 2**circuit.num_qubits != state.amplitudes.size:
+        raise ValueError("dimension mismatch between circuit and initial state")
     for gate in circuit.gates:
-        apply_gate(state, gate)
+        state = apply_gate(state, gate)
     return check_norm(state)
 
 
@@ -201,15 +201,15 @@ def check_norm(state: StateVector) -> StateVector:
 
 
 def apply_diagonal(state: StateVector, qubits, local_diag: np.ndarray) -> StateVector:
-    """Apply a diagonal operator given over a qubit subset (subset-local indexing)."""
+    """The state after a diagonal operator given over a qubit subset
+    (subset-local indexing), as a new state."""
     n = state.num_qubits
     k = len(qubits)
     psi = state.amplitudes.reshape((2,) * n)
     psi = np.moveaxis(psi, qubits, range(k))
     psi = psi.reshape(2**k, -1) * local_diag[:, None]
     psi = np.moveaxis(psi.reshape((2,) * n), range(k), qubits)
-    state.amplitudes = np.ascontiguousarray(psi).reshape(-1)
-    return state
+    return StateVector(np.ascontiguousarray(psi).reshape(-1), n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,17 @@ Each identity is one fixed contraction of a few small tensors, written out
 as a matrix product or a single einsum; there is no wire-graph engine and no
 rewrite engine.  The copy-spider einsum's operands and contraction path
 depend only on the qubit count, so they are planned once per count.  Wires
-carry qubit dimension 2.  All functions are pure.
+carry qubit dimension 2.  Spiders and H-boxes are symmetric in their legs, so
+a tensor is built from its leg count alone; whether a leg is read as an input
+or an output is up to the contraction.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-MAX_NODE_LEGS = 12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -31,51 +30,24 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.diag([1, -1]).astype(complex)
 
 
-@dataclass(frozen=True)
-class Node:
-    """A spider or H-box with ``m`` input and ``n`` output legs.
-
-    Ports are numbered 0..m+n-1, inputs first.  H-boxes carry no phase.
-    """
-
-    kind: str  # "Z" | "X" | "H"
-    m: int
-    n: int
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("Z", "X", "H"):
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError("node needs at least one leg")
-        if self.kind == "H" and self.phase != 0.0:
-            raise ValueError("H-box carries no phase")
-
-    @property
-    def legs(self) -> int:
-        return self.m + self.n
+def z_spider(legs: int, phase: float = 0.0) -> np.ndarray:
+    """Z-spider tensor, shape (2,)*legs: |0..0><0..0| + e^{i phase}|1..1><1..1|."""
+    t = np.zeros((2,) * legs, dtype=complex)
+    t[(0,) * legs] = 1.0
+    t[(1,) * legs] += np.exp(1j * phase)
+    return t
 
 
-def tensor_of(node: Node) -> np.ndarray:
-    """Dense tensor of a node, shape (2,)*legs, legs ordered inputs then outputs.
+def x_spider(legs: int, phase: float = 0.0) -> np.ndarray:
+    """X-spider tensor, shape (2,)*legs: the Z-spider in the +/- basis."""
+    # entry = 2^{-legs/2} * (1 + e^{i a} (-1)^{parity of indices})
+    idx = np.indices((2,) * legs).sum(axis=0) % 2
+    scale = 2.0 ** (-legs / 2.0)
+    return scale * (1.0 + np.exp(1j * phase) * np.where(idx, -1.0, 1.0))
 
-    Z-spider: |0..0><0..0| + e^{i a}|1..1><1..1|.  X-spider: the same in the
-    +/- basis.  H-box: entries (-1)^(product of all indices).
-    """
-    legs = node.legs
-    if legs > MAX_NODE_LEGS:
-        raise ValueError(f"node with {legs} legs exceeds dense limit {MAX_NODE_LEGS}")
-    if node.kind == "Z":
-        t = np.zeros((2,) * legs, dtype=complex)
-        t[(0,) * legs] = 1.0
-        t[(1,) * legs] += np.exp(1j * node.phase)
-        return t
-    if node.kind == "X":
-        # entry = 2^{-legs/2} * (1 + e^{i a} (-1)^{parity of indices})
-        idx = np.indices((2,) * legs).sum(axis=0) % 2
-        scale = 2.0 ** (-legs / 2.0)
-        return scale * (1.0 + np.exp(1j * node.phase) * np.where(idx, -1.0, 1.0))
-    # H-box: all ones except -1 at the all-ones entry
+
+def hbox(legs: int) -> np.ndarray:
+    """H-box tensor, shape (2,)*legs: entries (-1)^(product of all indices)."""
     t = np.ones((2,) * legs, dtype=complex)
     t[(1,) * legs] = -1.0
     return t
@@ -87,21 +59,17 @@ def tensor_of(node: Node) -> np.ndarray:
 
 def phase_state(theta: float) -> np.ndarray:
     """One-legged X-spider state: |+> + e^{i theta}|->, i.e. sqrt(2) e^{i theta/2} (cos t/2, -i sin t/2)."""
-    return tensor_of(Node("X", 0, 1, theta))
+    return x_spider(1, theta)
 
 
 def minus_vector() -> np.ndarray:
     """The (1, -1) vector (a phase-pi Z-spider state)."""
-    return tensor_of(Node("Z", 0, 1, math.pi)).astype(complex)
-
-
-def _hbox(legs: int) -> np.ndarray:
-    return tensor_of(Node("H", 0, legs))
+    return z_spider(1, math.pi)
 
 
 def hbox_vector(n: int) -> np.ndarray:
-    """H-box with n output legs, flattened: (1, ..., 1, -1)."""
-    return _hbox(n).reshape(-1)
+    """H-box with n legs, flattened: (1, ..., 1, -1)."""
+    return hbox(n).reshape(-1)
 
 
 @functools.cache
@@ -113,7 +81,7 @@ def _copy_spider_plan(n: int) -> tuple[tuple, tuple, tuple, tuple]:
     would search for on every call.  Cached, and read-only since every caller
     shares it: n <= 8 bounds the cache at 8 entries.
     """
-    spider = tensor_of(Node("Z", 1, 2))  # legs (in, out, copy)
+    spider = z_spider(3)  # legs (in, out, copy)
     spider.flags.writeable = False
     spiders = ()
     for q in range(n):
@@ -155,8 +123,8 @@ def check_fusion_rule(m: int, n: int) -> float:
     """
     if m + n > 10:
         raise ValueError("fusion check limited to m + n <= 10")
-    lhs = _hbox(m + n).reshape(2**m, 2**n)
-    rhs = _hbox(m + 1).reshape(2**m, 2) @ _hbox(2).reshape(2, 2) @ _hbox(n + 1).reshape(2**n, 2).T
+    lhs = hbox(m + n).reshape(2**m, 2**n)
+    rhs = hbox(m + 1).reshape(2**m, 2) @ hbox(2).reshape(2, 2) @ hbox(n + 1).reshape(2**n, 2).T
     return float(np.max(np.abs(lhs - 0.5 * rhs)))
 
 
@@ -168,7 +136,7 @@ def check_contraction_identities(n: int, theta: float) -> float:
     """
     if n > 8:
         raise ValueError("contraction identity check limited to n <= 8")
-    hb = _hbox(n + 1).reshape(2**n, 2)
+    hb = hbox(n + 1).reshape(2**n, 2)
     target = np.ones(2**n, dtype=complex)
     target[-1] = np.exp(1j * theta)
     err_phase = _diagonal_error((hb @ phase_state(theta)).reshape(-1), _SQRT2 * target)

@@ -609,11 +609,27 @@ class TestRejectedInput:
         assert len(captured.err.splitlines()) == 1 and cli.SEED_ENV_VAR in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample"], ["sample", "--config", "c.json", "--epsilon", "abc"], ["verify", "--sizes", "two"],
+        ["bogus"], [], ["experiment", "--config", "c.json", "--out", "out", "--workers", "1.5"],
+    ], ids=["sample-without-config", "non-float-epsilon", "non-integer-sizes", "unknown-subcommand",
+            "no-subcommand", "fractional-workers"])
+    def test_malformed_command_line(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("mczcut: error: ")
+        assert captured.out == ""
+
 
 class TestMainEntry:
     def test_kappa_table_via_argv(self, capsys):
         assert cli.main(["kappa-table"]) == 0
         assert "CZ" in capsys.readouterr().out
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--help"])
+        assert exc.value.code == 0 and "--config" in capsys.readouterr().out
 
     def test_seed_env_var(self, tmp_path, monkeypatch, capsys):
         doc = bell_document(tmp_path)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mczcut import densesim
-from mczcut.circuit import Circuit, Observable, cz, h, mcz, x
+from mczcut.circuit import Circuit, Gate, Observable, cz, h, mcz, x
 from mczcut.cutter import LocalOperation, decompose_mcz
 from mczcut.densesim import (StateVector, expval, pair_superop, project, run,
                              superop_of_local_operation, superop_of_unitary)
@@ -56,6 +57,42 @@ class TestRun:
         with pytest.raises(ValueError, match="dimension mismatch"):
             run(Circuit(2, (h(0),)), StateVector.zero(3))
 
+
+
+def random_gate(n: int, rng: np.random.Generator) -> Gate:
+    """A gate of a random kind on random distinct qubits of an n-qubit register."""
+    kind = str(rng.choice(["RX", "RY", "RZ", "X", "H", "S", "SDG", "Z", "CNOT", "CZ", "MCZ", "MCP"]))
+    width = {"CNOT": 2, "CZ": 2, "MCZ": int(rng.integers(2, n + 1)), "MCP": int(rng.integers(2, n + 1))}.get(kind, 1)
+    qubits = tuple(int(q) for q in rng.choice(n, size=width, replace=False))
+    angle = float(rng.uniform(-math.pi, math.pi)) if kind in ("RX", "RY", "RZ", "MCP") else None
+    return Gate(kind, qubits, angle)
+
+
+class TestFrozenStates:
+    """Every kernel returns a new state and leaves its argument as it was."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_kernels_leave_their_argument(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            state = random_state(n, rng)
+            amps = state.amplitudes
+            before = amps.tobytes()
+            gates = tuple(random_gate(n, rng) for _ in range(4))
+            qubits = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+            diagonal = rng.normal(size=2**len(qubits)) + 1j * rng.normal(size=2**len(qubits))
+            outcome = int(np.argmax(densesim._subset_probabilities(state, qubits)))
+            results = [densesim.apply_gate(state, gate) for gate in gates]
+            results += [densesim.apply_diagonal(state, qubits, diagonal), project(state, qubits, outcome)[0],
+                        run(Circuit(n, gates), state)]
+            assert state.amplitudes is amps and amps.tobytes() == before
+            assert all(result is not state and result.amplitudes is not amps for result in results)
+
+    def test_fields_cannot_be_assigned(self):
+        state = StateVector.zero(2)
+        for name, value in (("amplitudes", np.ones(4, dtype=complex)), ("num_qubits", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, value)
 
 def tensordot_single(amps: np.ndarray, n: int, matrix: np.ndarray, q: int) -> np.ndarray:
     """Reference single-qubit kernel: contract the matrix with qubit q's axis."""

@@ -280,7 +280,7 @@ def reference_side_branches(side, op):
                 continue
             sign = weight
         else:
-            state = densesim.apply_diagonal(pre_state.copy(), side.op_qubits, diagonal)
+            state = densesim.apply_diagonal(pre_state, side.op_qubits, diagonal)
             prob, sign = weight, 1.0
         branches.append(Branch(prob, sign, densesim.run(post, state).probabilities()))
     return branches

@@ -6,34 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mczcut import zhcalc
-from mczcut.zhcalc import (Node, check_choi_block_expansion,
+from mczcut.zhcalc import (check_choi_block_expansion,
                            check_contraction_identities, check_diag_lemma,
                            check_fusion_rule, check_mcz_representation,
-                           choi_block_matrix, diagonal_from_vector, hbox_vector,
-                           minus_vector, phase_state, tensor_of)
+                           choi_block_matrix, diagonal_from_vector, hbox,
+                           hbox_vector, minus_vector, phase_state, x_spider,
+                           z_spider)
 
 SQRT2 = math.sqrt(2)
 
 
 class TestTensors:
     def test_hbox_two_legs(self):
-        assert np.array_equal(tensor_of(Node("H", 0, 2)).reshape(-1),
+        assert np.array_equal(hbox(2).reshape(-1),
                               np.array([1, 1, 1, -1], dtype=complex))
 
     def test_hbox_one_in_one_out_is_sqrt2_hadamard(self):
-        t = tensor_of(Node("H", 1, 1))
+        t = hbox(2)
         hadamard = np.array([[1, 1], [1, -1]]) / SQRT2
         assert np.allclose(t, SQRT2 * hadamard)
 
     def test_zspider_identity(self):
-        assert np.array_equal(tensor_of(Node("Z", 1, 1)), np.eye(2, dtype=complex))
+        assert np.array_equal(z_spider(2), np.eye(2, dtype=complex))
 
     def test_zspider_phase(self):
-        t = tensor_of(Node("Z", 0, 1, 0.7))
+        t = z_spider(1, 0.7)
         assert np.allclose(t, [1, np.exp(0.7j)])
 
     def test_xspider_pi_is_pauli_x(self):
-        t = tensor_of(Node("X", 1, 1, math.pi))
+        t = x_spider(2, math.pi)
         assert np.allclose(t, np.array([[0, 1], [1, 0]]), atol=1e-15)
 
     def test_phase_state_component_form(self):
@@ -42,20 +43,11 @@ class TestTensors:
                 [math.cos(theta / 2), -1j * math.sin(theta / 2)])
             assert np.allclose(phase_state(theta), expected, atol=1e-14)
 
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="dense limit"):
-            tensor_of(Node("H", 0, 13))
-
-    def test_hbox_carries_no_phase(self):
-        with pytest.raises(ValueError, match="no phase"):
-            Node("H", 1, 1, 0.5)
-
     @given(st.sampled_from(["Z", "X", "H"]), st.integers(1, 5),
            st.floats(0, 2 * math.pi, allow_nan=False), st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_leg_permutation_symmetry(self, kind, legs, phase, random):
-        node = Node(kind, 0, legs, 0.0 if kind == "H" else phase)
-        t = tensor_of(node)
+        t = hbox(legs) if kind == "H" else {"Z": z_spider, "X": x_spider}[kind](legs, phase)
         perm = list(range(legs))
         random.shuffle(perm)
         assert np.allclose(t, np.transpose(t, perm))
@@ -80,7 +72,7 @@ class TestContract:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_planned_path_matches_per_call_search(self, n, rng):
         # reference: the same copy-spider network, its path searched on every call
-        spider = tensor_of(Node("Z", 1, 2))
+        spider = z_spider(3)
         for _ in range(3):
             v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             operands = []
@@ -109,18 +101,18 @@ class TestFusionRule:
 class TestContractionIdentities:
     def test_theta_pi_gives_z(self):
         # sqrt(2) diag(1, -1) for a single qubit
-        hb = tensor_of(Node("H", 0, 2)).reshape(2, 2)
+        hb = hbox(2).reshape(2, 2)
         contracted = hb @ phase_state(math.pi)
         assert np.allclose(contracted, SQRT2 * np.array([1, -1]), atol=1e-14)
         assert check_contraction_identities(1, math.pi) < 1e-12
 
     def test_minus_vector_gives_projector(self):
-        hb = tensor_of(Node("H", 0, 3)).reshape(4, 2)
+        hb = hbox(3).reshape(4, 2)
         contracted = hb @ minus_vector()
         assert np.allclose(contracted, [0, 0, 0, 2])
 
     def test_theta_zero_gives_identity(self):
-        hb = tensor_of(Node("H", 0, 2)).reshape(2, 2)
+        hb = hbox(2).reshape(2, 2)
         assert np.allclose(hb @ phase_state(0.0), SQRT2 * np.array([1, 1]))
 
     def test_grid(self):
