@@ -103,9 +103,9 @@ def _identity_checks():
             theta = 2 * math.pi * j / 8
             checks.append((f"hbox contraction n={n} theta={theta:.4f}",
                            lambda n=n, t=theta: zhcalc.check_contraction_identities(n, t), 1e-12))
-    rng = np.random.default_rng(20240229)
     for n in range(1, 7):
-        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        # fixed entries of distinct moduli and phases: verify draws no random numbers
+        v = np.arange(1, 2**n + 1) * np.exp(1j * np.arange(2**n))
         checks.append((f"diagonal construction n={n}", lambda v=v: zhcalc.check_diag_lemma(v), 1e-12))
     checks.append(("coupling block expansion", zhcalc.check_choi_block_expansion, 1e-14))
     for n in range(1, 6):

@@ -29,7 +29,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +313,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRow]:
              for rep in range(config.repetitions) for c in range(config.circuits)]
     pool_size = min(workers, len(tasks), _usable_cpus())
     if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only here
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             return list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // pool_size)))
     return [_run_one(t) for t in tasks]

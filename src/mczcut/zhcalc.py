@@ -8,8 +8,8 @@ coupling block (the unnormalized Choi operator of a Hadamard gate).
 
 Each identity is one fixed contraction of a few small tensors, written out
 as a matrix product or a single einsum; there is no wire-graph engine and no
-rewrite engine.  The copy-spider einsum's operands and contraction path
-depend only on the qubit count, so they are planned once per count.  Wires
+rewrite engine.  Diagonal results compare as entry vectors; the copy-spider
+einsum that builds a diagonal is planned once per qubit count.  Wires
 carry qubit dimension 2.  Spiders and H-boxes are symmetric in their legs, so
 a tensor is built from its leg count alone; whether a leg is read as an input
 or an output is up to the contraction.  All functions are pure.
@@ -131,19 +131,19 @@ def check_fusion_rule(m: int, n: int) -> float:
 def check_contraction_identities(n: int, theta: float) -> float:
     """Contracting an (n+1)-legged H-box with a phase vector or with (1,-1).
 
-    The phase vector yields sqrt(2) diag(1,...,1,e^{i theta}); the (1,-1)
-    vector yields twice the projector onto |1...1>.
+    The phase vector yields sqrt(2) (1,...,1,e^{i theta}), the entries of
+    sqrt(2) diag(1,...,1,e^{i theta}); the (1,-1) vector yields the entries
+    2 (0,...,0,1) of twice the projector onto |1...1>.  Both compare as vectors.
     """
     if n > 8:
         raise ValueError("contraction identity check limited to n <= 8")
     hb = hbox(n + 1).reshape(2**n, 2)
     target = np.ones(2**n, dtype=complex)
     target[-1] = np.exp(1j * theta)
-    err_phase = _diagonal_error((hb @ phase_state(theta)).reshape(-1), _SQRT2 * target)
     proj = np.zeros(2**n, dtype=complex)
-    proj[-1] = 1.0
-    err_minus = _diagonal_error((hb @ minus_vector()).reshape(-1), 2.0 * proj)
-    return max(err_phase, err_minus)
+    proj[-1] = 2.0
+    return float(max(np.max(np.abs(hb @ phase_state(theta) - _SQRT2 * target)),
+                     np.max(np.abs(hb @ minus_vector() - proj))))
 
 
 def _max_error_from_diagonal(matrix: np.ndarray, target: np.ndarray) -> float:
@@ -151,17 +151,6 @@ def _max_error_from_diagonal(matrix: np.ndarray, target: np.ndarray) -> float:
     idx = np.arange(matrix.shape[0])
     matrix[idx, idx] -= target
     return float(np.max(np.abs(matrix)))
-
-
-def _diagonal_error(v: np.ndarray, target: np.ndarray) -> float:
-    """Max |diag(v) - diag(target)|, with diag(v) built by copy spiders up to 6 qubits.
-
-    Past 6 qubits both sides are plain diagonals, whose off-diagonal zeros
-    agree exactly, so the entries are compared as vectors.
-    """
-    if v.size <= 2**6:
-        return _max_error_from_diagonal(diagonal_from_vector(v), target)
-    return float(np.max(np.abs(v - target)))
 
 
 def check_diag_lemma(v: np.ndarray) -> float:

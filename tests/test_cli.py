@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mczcut import cli, cutter, densesim
+from mczcut import cli, cutter, densesim, zhcalc
 from mczcut.circuit import Circuit, Gate, Observable, cz, find_cut, h, parse, serialize
 
 
@@ -110,6 +110,50 @@ class TestVerifyCommand:
         monkeypatch.setattr(cutter.LocalOperation, "signed_diagonal_terms", flipped)
         assert cli.main(["verify", "--sizes", "2"]) == 1
         assert "FAIL  projector rewrite n=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", [lambda v: v[::-1], np.conj], ids=["reversed", "conjugated"])
+    def test_fixed_vectors_catch_faulty_diagonal_construction(self, monkeypatch, fault):
+        # verify's fixed vectors differ entry by entry in modulus and phase, so
+        # a construction that permutes or conjugates its vector fails every size
+        construct = zhcalc.diagonal_from_vector
+        monkeypatch.setattr(zhcalc, "diagonal_from_vector",
+                            lambda v: construct(fault(np.asarray(v, dtype=complex))))
+        residuals = [fn() for name, fn, _ in cli._identity_checks() if name.startswith("diagonal construction")]
+        assert len(residuals) == 6
+        assert all(r > 1e-12 for r in residuals)
+
+
+class TestImportFootprint:
+    """A command loads only the modules it uses: nothing in verify or
+    kappa-table draws random numbers, and only a pool of more than one worker
+    needs the process pool."""
+
+    @staticmethod
+    def loaded_after(tmp_path, *argvs) -> list[str]:
+        # a fresh interpreter importing the package under test, not whatever is on its own path
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import json, sys\n"
+                "from mczcut import cli\n"
+                f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+                "watched = ('numpy.random', 'concurrent.futures.process')\n"
+                "print(json.dumps([codes, [m for m in watched if m in sys.modules]]))\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        codes, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs)
+        return loaded
+
+    def test_verify_and_kappa_table(self, tmp_path):
+        assert self.loaded_after(tmp_path, ["verify", "--sizes", "2"], ["kappa-table"]) == []
+
+    def test_serial_experiment_starts_no_pool(self, tmp_path):
+        config = {"version": 1, "num_qubits": 3, "k": 1, "m": 2, "epsilon": 0.2,
+                  "repetitions": 1, "circuits": 1, "seed": 4}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["experiment", "--config", "config.json", "--out", "out", "--workers", "1"]
+        assert "concurrent.futures.process" not in self.loaded_after(tmp_path, argv)
 
 
 class TestDecomposeCommand:

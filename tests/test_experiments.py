@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import math
@@ -232,7 +233,7 @@ class TestHarness:
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2,
                                   repetitions=2, circuits=2, seed=6)
         serial = rows_to_csv(run_experiment(config, workers=1))
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         for cpus in (8, 3, 1):
             monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
             assert rows_to_csv(run_experiment(config, workers=10**6)) == serial

@@ -120,6 +120,21 @@ class TestContractionIdentities:
             for j in range(8):
                 assert check_contraction_identities(n, 2 * math.pi * j / 8) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bits_equal_copy_spider_reading(self, n):
+        # comparing vectors reads the same bits as comparing the diagonals the
+        # copy spiders build from them: their off-diagonal entries are exact zeros
+        hb = hbox(n + 1).reshape(2**n, 2)
+        proj = np.zeros(2**n, dtype=complex)
+        proj[-1] = 1.0
+        for j in range(8):
+            theta = 2 * math.pi * j / 8
+            target = np.ones(2**n, dtype=complex)
+            target[-1] = np.exp(1j * theta)
+            readings = (zhcalc._max_error_from_diagonal(diagonal_from_vector(hb @ phase_state(theta)), SQRT2 * target),
+                        zhcalc._max_error_from_diagonal(diagonal_from_vector(hb @ minus_vector()), 2.0 * proj))
+            assert check_contraction_identities(n, theta) == max(readings)
+
 
 class TestDiagLemma:
     def test_cz_diagonal(self):
