@@ -8,7 +8,7 @@ theoretically allocated shot budgets.
 """
 
 from .circuit import (Circuit, Gate, Observable, PartitionedCut, find_cut,
-                      parse, serialize, validate)
+                      parse, serialize)
 from .cutter import (Decomposition, DecompositionTerm, LocalOperation,
                      channel_multiplier, decompose_ccz, decompose_choi_block,
                      decompose_mcz, embed, exact_cut_expectation,
@@ -21,7 +21,7 @@ from .sampler import (EstimateRecord, ShotBudget, allocate, hoeffding_shots,
 
 __all__ = [
     "Circuit", "Gate", "Observable", "PartitionedCut", "find_cut", "parse",
-    "serialize", "validate",
+    "serialize",
     "Decomposition", "DecompositionTerm", "LocalOperation", "channel_multiplier",
     "decompose_ccz", "decompose_choi_block", "decompose_mcz", "embed", "exact_cut_expectation",
     "final_state", "rewrite_projector", "verify",

@@ -12,7 +12,9 @@ Conventions fixed here and enforced everywhere else in the package:
 * The one observable is the parity of the full Z-string, whose value on
   every bitstring is +1 or -1.
 
-All types in this module are immutable values after construction and safe to
+Every ``Gate`` and ``Circuit`` checks its invariants when it is built and
+raises ValueError naming the first violation, so no invalid one exists.  All
+types in this module are immutable values after construction and safe to
 share between threads.
 """
 
@@ -44,9 +46,11 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not isinstance(self.qubits, (list, tuple)) or not all(_is_int(q) and q >= 0 for q in self.qubits):
+            raise ValueError(f"'qubits' must be a list of non-negative integers, got {self.qubits!r}")
+        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         nq = len(self.qubits)
         if len(set(self.qubits)) != nq:
             raise ValueError(f"duplicate qubit in {self.kind} gate: {self.qubits}")
@@ -59,6 +63,8 @@ class Gate:
         if self.kind in ROTATION_KINDS or self.kind == "MCP":
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
+            if not _is_finite(self.angle):
+                raise ValueError(f"{self.kind} angle must be a finite number, got {self.angle!r}")
             angle = float(self.angle)
             if self.kind == "MCP" and not (-math.pi - ANGLE_TOL < angle <= math.pi + ANGLE_TOL):
                 raise ValueError(f"MCP angle must lie in (-pi, pi], got {angle}")
@@ -114,9 +120,28 @@ class Circuit:
     partition: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        n = self.num_qubits
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"'num_qubits' must be a positive integer, got {n!r}")
+        object.__setattr__(self, "num_qubits", int(n))
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.partition is not None:
-            object.__setattr__(self, "partition", tuple(self.partition))
+        for i, gate in enumerate(self.gates):
+            for q in gate.qubits:
+                if q >= n:
+                    raise ValueError(f"gate {i} ({gate.kind}): qubit index {q} out of range for {n} qubits")
+        part = self.partition
+        if part is None:
+            return
+        if not isinstance(part, (list, tuple)) or not all(isinstance(label, str) for label in part):
+            raise ValueError(f"'partition' must be a list of string labels, got {part!r}")
+        object.__setattr__(self, "partition", tuple(part))
+        if len(part) != n:
+            raise ValueError(f"partition not covering: {len(part)} labels for {n} qubits")
+        bad = sorted(set(part) - {"A", "B"})
+        if bad:
+            raise ValueError(f"unknown partition label {bad[0]!r}")
+        if "A" not in part or "B" not in part:
+            raise ValueError("partition must contain at least one qubit in each of A and B")
 
     def qubits_in(self, label: str) -> tuple[int, ...]:
         """Sorted qubit indices carrying partition label "A" or "B"."""
@@ -146,34 +171,12 @@ class PartitionedCut:
         return self.k + self.m
 
 
-def validate(circuit: Circuit) -> None:
-    """Check the circuit's invariants (each Gate checks its own when built);
-    raise ValueError naming the first violation."""
-    n = circuit.num_qubits
-    if n < 1:
-        raise ValueError("num_qubits must be positive")
-    for i, gate in enumerate(circuit.gates):
-        for q in gate.qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"gate {i} ({gate.kind}): qubit index {q} out of range for {n} qubits")
-    if circuit.partition is not None:
-        part = circuit.partition
-        if len(part) != n:
-            raise ValueError(f"partition not covering: {len(part)} labels for {n} qubits")
-        bad = sorted(set(part) - {"A", "B"})
-        if bad:
-            raise ValueError(f"unknown partition label {bad[0]!r}")
-        if "A" not in part or "B" not in part:
-            raise ValueError("partition must contain at least one qubit in each of A and B")
-
-
 def find_cut(circuit: Circuit) -> PartitionedCut:
     """Locate the unique cross-partition MCZ and report its (k, m) split.
 
     CZ counts as an order-2 MCZ.  Raises if there is no cross-partition gate,
     more than one, or the crossing gate is not an MCZ/CZ.
     """
-    validate(circuit)
     if circuit.partition is None:
         raise ValueError("circuit has no partition assignment")
     part = circuit.partition
@@ -200,7 +203,6 @@ def find_cut(circuit: Circuit) -> PartitionedCut:
 # ---------------------------------------------------------------------------
 
 def serialize(circuit: Circuit) -> str:
-    validate(circuit)
     doc: dict = {
         "version": DOCUMENT_VERSION,
         "num_qubits": circuit.num_qubits,
@@ -231,8 +233,6 @@ def parse(text: str) -> Circuit:
         raise ValueError(f"unsupported document version {doc.get('version')!r}")
     if "num_qubits" not in doc or "gates" not in doc:
         raise ValueError("circuit document requires 'num_qubits' and 'gates'")
-    if not _is_int(doc["num_qubits"]):
-        raise ValueError(f"'num_qubits' must be an integer, got {doc['num_qubits']!r}")
     if not isinstance(doc["gates"], list):
         raise ValueError("'gates' must be a list")
     gates = []
@@ -242,37 +242,23 @@ def parse(text: str) -> Circuit:
         extra = sorted(set(entry) - {"kind", "qubits", "angle"})
         if extra:
             raise ValueError(f"gate {i}: unknown field {extra[0]!r}")
-        kind = entry.get("kind")
-        if kind not in GATE_KINDS:
-            raise ValueError(f"gate {i}: unknown gate kind {kind!r}")
-        qubits = entry.get("qubits")
-        if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
-            raise ValueError(f"gate {i}: 'qubits' must be a list of integers, got {qubits!r}")
-        angle = entry.get("angle")
-        if angle is not None and not _is_finite(angle):
-            raise ValueError(f"gate {i}: angle must be a finite number, got {angle!r}")
         try:
-            gates.append(Gate(kind, tuple(qubits), angle))
+            gates.append(Gate(entry.get("kind"), entry.get("qubits"), entry.get("angle")))
         except ValueError as exc:
             raise ValueError(f"gate {i}: {exc}") from exc
-    partition = doc.get("partition")
-    if partition is not None and not (isinstance(partition, list)
-                                      and all(isinstance(label, str) for label in partition)):
-        raise ValueError(f"'partition' must be a list of string labels, got {partition!r}")
-    circuit = Circuit(doc["num_qubits"], tuple(gates),
-                      tuple(partition) if partition is not None else None)
-    validate(circuit)
-    return circuit
+    return Circuit(doc["num_qubits"], tuple(gates), doc.get("partition"))
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
-    """An int or float, not a bool, that a float holds finitely (an integer beyond its range does not)."""
+    """A Python or numpy integer or float, not a bool, that a float holds
+    finitely (an integer beyond its range does not)."""
     try:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        return (_is_int(value) or isinstance(value, (float, np.floating))) and math.isfinite(value)
     except OverflowError:
         return False
 

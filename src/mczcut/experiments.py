@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cutter, densesim, sampler
-from .circuit import Circuit, Gate, Observable, find_cut, validate
+from .circuit import Circuit, Gate, Observable, find_cut
 
 # The sampling budget uses the order-independent overhead constant for an MCZ
 # cut, so desk-scale budgets match N = 4 * 6^2 / eps^2 regardless of the
@@ -164,10 +164,8 @@ def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator) -> Circ
         post_b = local_block(m, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
         with_gate, without = _screen(k, m, pre_a, pre_b, post_a, post_b)
         if abs(with_gate - without) > IMPACT_THRESHOLD:
-            circuit = Circuit(n, (*gates(pre_a, 0), *gates(pre_b, k), mcz,
-                                  *gates(post_a, 0), *gates(post_b, k)), partition)
-            validate(circuit)
-            return circuit
+            return Circuit(n, (*gates(pre_a, 0), *gates(pre_b, k), mcz,
+                               *gates(post_a, 0), *gates(post_b, k)), partition)
     raise RuntimeError(f"no circuit reached impact threshold {IMPACT_THRESHOLD} "
                        f"in {MAX_ATTEMPTS} attempts")
 

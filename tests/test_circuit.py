@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mczcut.circuit import (Circuit, Gate, Observable, cnot, cz, find_cut, h,
-                            mcp, mcz, parse, rx, serialize, validate, z)
+                            mcp, mcz, parse, rx, serialize, z)
 
 
 def bell_prep() -> Circuit:
@@ -45,25 +45,52 @@ class TestGate:
             Gate("XYZ", (0,))
 
 
+    @pytest.mark.parametrize("qubit", [1.5, "1", True, -1], ids=["float", "string", "bool", "negative"])
+    def test_qubit_type_rejected(self, qubit):
+        with pytest.raises(ValueError, match="'qubits'"):
+            Gate("H", (qubit,))
+
+    @pytest.mark.parametrize("angle", ["1.5", True, math.nan, math.inf, -math.inf],
+                             ids=["string", "bool", "nan", "inf", "-inf"])
+    def test_angle_type_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle"):
+            Gate("RX", (0,), angle)
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        for angle in (np.float64(0.5), np.float32(0.5)):
+            gate = Gate("MCP", (np.int64(0), np.int64(2)), angle)
+            assert gate == Gate("MCP", (0, 2), 0.5)
+            assert all(type(q) is int for q in gate.qubits) and type(gate.angle) is float
+
+
 class TestValidate:
     def test_valid_partitioned_circuit(self):
-        validate(bell_prep())
+        bell_prep()
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            validate(Circuit(2, (h(5),)))
+            Circuit(2, (h(5),))
 
     def test_partition_not_covering(self):
         with pytest.raises(ValueError, match="not covering"):
-            validate(Circuit(2, (h(0),), ("A",)))
+            Circuit(2, (h(0),), ("A",))
 
     def test_partition_needs_both_labels(self):
         with pytest.raises(ValueError, match="each of A and B"):
-            validate(Circuit(2, (), ("A", "A")))
+            Circuit(2, (), ("A", "A"))
 
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown partition label"):
-            validate(Circuit(2, (), ("A", "C")))
+            Circuit(2, (), ("A", "C"))
+
+    @pytest.mark.parametrize("num_qubits", [2.0, True, 0, "2"], ids=["float", "bool", "zero", "string"])
+    def test_num_qubits_type_rejected(self, num_qubits):
+        with pytest.raises(ValueError, match="'num_qubits'"):
+            Circuit(num_qubits)
+
+    def test_string_partition_rejected(self):
+        with pytest.raises(ValueError, match="'partition'"):
+            Circuit(2, (), "AB")
 
 
 class TestFindCut:

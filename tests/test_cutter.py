@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,11 @@ class TestLocalOperation:
         for op in (LocalOperation.mcp(2, math.pi / 2), LocalOperation.zlayer(3, 5)):
             [(weight, diagonal)] = op.signed_diagonal_terms()
             assert weight == 1.0 and np.allclose(np.abs(diagonal), 1.0)
+
+    @pytest.mark.parametrize("mask", [7, -1])
+    def test_mask_out_of_range_rejected(self, mask):
+        with pytest.raises(ValueError, match="out of range"):
+            LocalOperation("zlayer", 2, mask=mask)
 
     def test_zmix_expands_to_equal_weights(self):
         terms = LocalOperation.zmix(3).signed_diagonal_terms()
@@ -262,6 +268,17 @@ class TestVerify:
     def test_corruption_detected_beyond_dense_range(self):
         report = verify(flip_first_coefficient(decompose_mcz(3, 4)))
         assert not report.passed and report.residual > 0.1
+
+    def test_order_ten_holds_two_order_sized_arrays(self):
+        # each 1024 x 1024 complex array takes 16.8 MB; a third, such as a
+        # whole u u^H target, would pass 50 MB
+        tracemalloc.start()
+        try:
+            assert verify(decompose_mcz(5, 5)).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 def every_operation(n: int) -> list[LocalOperation]:

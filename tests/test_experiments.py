@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mczcut import densesim, experiments, sampler
-from mczcut.circuit import Circuit, Gate, Observable, find_cut, validate
+from mczcut.circuit import Circuit, Gate, Observable, find_cut
 from mczcut.experiments import (ExperimentConfig, gen_random_circuit,
                                 kappa_table, run_experiment, rows_to_csv,
                                 summarize)
@@ -115,7 +115,6 @@ class TestRandomCircuits:
     def test_five_qubit_circuit(self):
         rng = np.random.default_rng(7)
         circuit = gen_random_circuit(5, 3, 2, rng)
-        validate(circuit)
         cut = find_cut(circuit)
         assert (cut.k, cut.m) == (3, 2)
         obs = Observable.z_string(5)
@@ -149,7 +148,8 @@ class TestRandomCircuits:
 
     def test_validate_accepts_generated_circuits(self):
         for seed in range(8):
-            validate(gen_random_circuit(3, 1, 2, np.random.default_rng(seed)))
+            circuit = gen_random_circuit(3, 1, 2, np.random.default_rng(seed))
+            assert Circuit(circuit.num_qubits, circuit.gates, circuit.partition) == circuit
 
 
 class TestConfig:
