@@ -9,13 +9,17 @@ matters for the measured observable.  A side-local screen decides: it runs
 each partition's gates on its own amplitudes and reads both values off the
 MCZ's rank-two form, so no candidate touches the full register.  The
 experiment simulates each accepted circuit once, for its exact value and its
-outcome distribution.
+outcome distribution.  The generator reads numpy's stream from raw PCG64
+words (``sampler._PCG64Words``) instead of calling numpy once per draw: the
+circuits are those of numpy's ``integers``, ``uniform``, ``choice`` and
+``shuffle`` calls, and the caller's generator ends where those calls leave it.
 
 The experiment harness compares, per circuit and repetition, the exact
 expectation against (a) plain sampling of the uncut circuit at N shots and
 (b) the cut-circuit estimate at the same total N, and emits a tidy dataset
-plus quantile summaries.  Each circuit's branch tables are built once,
-before any repetition; a repetition only samples.
+plus quantile summaries; the quantiles are numpy's linear method, computed
+in Python because ``np.quantile`` loads ``numpy.ma``.  Each circuit's branch
+tables are built once, before any repetition; a repetition only samples.
 Repetitions can run in a worker pool (the tables travel with the tasks); the
 output is ordered by (repetition, circuit) index and is byte-identical for a
 fixed seed regardless of worker count.
@@ -140,32 +144,43 @@ def gen_random_circuit(n: int, k: int, m: int, rng: np.random.Generator) -> Circ
     partition = tuple("A" if q < k else "B" for q in range(n))
     mcz = Gate("MCZ", tuple(range(n)))
 
+    words = sampler._PCG64Words(rng)
+
     def local_block(width, n_rot, n_cnot):
-        """One side's gates as (kind, qubits, angle) draws on side-local qubits."""
+        """One side's gates as (kind, qubits, angle) draws on side-local qubits,
+        each the draw of the numpy call named beside it."""
         draws = []
         for _ in range(n_rot):
-            kind = ("RX", "RY", "RZ")[rng.integers(3)]
-            # the draw rng.choice(width) makes, without its per-call overhead
-            draws.append((kind, (int(rng.integers(width)),), float(rng.uniform(0, 2 * math.pi))))
+            kind = ("RX", "RY", "RZ")[words.bounded(2)]  # integers(3)
+            # choice(width) and uniform(0, 2 pi), which is 0 + 2 pi u
+            draws.append((kind, (words.bounded(width - 1),), 2 * math.pi * words.double()))
         for _ in range(n_cnot):
-            pair = rng.choice(width, size=2, replace=False)
-            draws.append(("CNOT", (int(pair[0]), int(pair[1])), None))
-        rng.shuffle(draws)
+            # choice(width, 2, replace=False): Floyd's draw, then its shuffle of the pair
+            first, second = words.bounded(width - 2), words.bounded(width - 1)
+            if second == first:
+                second = width - 1
+            draws.append(("CNOT", (first, second) if words.bounded(1) else (second, first), None))
+        for i in range(len(draws) - 1, 0, -1):  # shuffle(draws)
+            j = words.interval(i)
+            draws[i], draws[j] = draws[j], draws[i]
         return draws
 
     def gates(draws, shift):
         return [Gate(kind, tuple(q + shift for q in qubits), angle) for kind, qubits, angle in draws]
 
-    for _ in range(MAX_ATTEMPTS):
-        # half of each partition's gates before the central MCZ, half after
-        pre_a = local_block(k, rot_a // 2, cnots_a // 2)
-        pre_b = local_block(m, rot_b // 2, cnots_b // 2)
-        post_a = local_block(k, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
-        post_b = local_block(m, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
-        with_gate, without = _screen(k, m, pre_a, pre_b, post_a, post_b)
-        if abs(with_gate - without) > IMPACT_THRESHOLD:
-            return Circuit(n, (*gates(pre_a, 0), *gates(pre_b, k), mcz,
-                               *gates(post_a, 0), *gates(post_b, k)), partition)
+    try:
+        for _ in range(MAX_ATTEMPTS):
+            # half of each partition's gates before the central MCZ, half after
+            pre_a = local_block(k, rot_a // 2, cnots_a // 2)
+            pre_b = local_block(m, rot_b // 2, cnots_b // 2)
+            post_a = local_block(k, rot_a - rot_a // 2, cnots_a - cnots_a // 2)
+            post_b = local_block(m, rot_b - rot_b // 2, cnots_b - cnots_b // 2)
+            with_gate, without = _screen(k, m, pre_a, pre_b, post_a, post_b)
+            if abs(with_gate - without) > IMPACT_THRESHOLD:
+                return Circuit(n, (*gates(pre_a, 0), *gates(pre_b, k), mcz,
+                                   *gates(post_a, 0), *gates(post_b, k)), partition)
+    finally:
+        words.finish()
     raise RuntimeError(f"no circuit reached impact threshold {IMPACT_THRESHOLD} "
                        f"in {MAX_ATTEMPTS} attempts")
 
@@ -335,9 +350,21 @@ def _arm_summary(errors) -> dict:
     if len(errors) < 2:
         return {"std_dev": None, "mean": errors[0] if errors else None, "quantiles": None}
     arr = np.asarray(errors, dtype=float)
-    qs = np.quantile(arr, [0.05, 0.25, 0.75, 0.95])
+    ordered = sorted(map(float, errors))
     return {"std_dev": float(arr.std(ddof=1)), "mean": float(arr.mean()),
-            "quantiles": {"5%": float(qs[0]), "25%": float(qs[1]), "75%": float(qs[2]), "95%": float(qs[3])}}
+            "quantiles": {f"{round(100 * q)}%": _quantile(ordered, q) for q in (0.05, 0.25, 0.75, 0.95)}}
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    """``np.quantile(ordered, q)`` of two or more sorted values, 0 <= q < 1, by
+    numpy's linear method, bit for bit, without the ``np.unique`` call that
+    loads ``numpy.ma``."""
+    v = (len(ordered) - 1) * q
+    i = math.floor(v)
+    g = v - i
+    a, b = ordered[i], ordered[i + 1]
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def summarize(rows: list[RunRow], config: ExperimentConfig) -> dict:

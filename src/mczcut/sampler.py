@@ -26,7 +26,9 @@ builds all of its term streams in one pass (``_term_streams``): the seed
 sequence's hash of the words every key shares is computed once, the tails
 are hashed together in one vectorised pass, and each stream's PCG64 state
 is set on one reused Generator.  The streams are numpy's, word for word;
-``_rng_for`` builds a single stream the plain way.
+``_rng_for`` builds a single stream the plain way.  ``_PCG64Words`` reads a
+PCG64 Generator's draws off raw words taken in blocks, as numpy's C code
+draws them, for the random-circuit generator's many small draws.
 """
 
 from __future__ import annotations
@@ -266,6 +268,86 @@ def _pcg64_state(words: tuple[int, int, int, int]) -> dict:
     return {"bit_generator": "PCG64",
             "state": {"state": ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+class _PCG64Words:
+    """numpy's draws off a PCG64 Generator, read from raw words taken in blocks.
+
+    Each draw copies the C code numpy runs for it (numpy/random/src), so the
+    values are numpy's, bit for bit, without a numpy call per draw.  The
+    32-bit draws share PCG64's half-word buffer: a new word gives its low half
+    and keeps its high half for the next one.  The reader takes words past the
+    last one it uses; ``finish`` puts the Generator where numpy's own calls
+    would have left it.  Other bit generators are refused.
+    """
+
+    BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
+        self._bit_generator = rng.bit_generator
+        self._entry = self._bit_generator.state
+        if self._entry["bit_generator"] != "PCG64":
+            raise ValueError(f"the circuit generator reads PCG64 streams, "
+                             f"not {self._entry['bit_generator']}")
+        self._has_half = bool(self._entry["has_uint32"])
+        self._half = self._entry["uinteger"]
+        self._blocks = 0
+        self._words = iter(())
+
+    def word(self) -> int:
+        """The next 64-bit word (numpy's ``next_uint64``)."""
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._blocks += 1
+            self._words = iter(self._bit_generator.random_raw(self.BLOCK).tolist())
+            return next(self._words)
+
+    def u32(self) -> int:
+        """``next_uint32``: the buffered high half, else a new word's low half."""
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self.word()
+        self._has_half = True
+        self._half = word >> 32
+        return word & _MASK32
+
+    def double(self) -> float:
+        """``next_double``, uniform on [0, 1)."""
+        return (self.word() >> 11) * 2.0**-53
+
+    def bounded(self, r: int) -> int:
+        """``buffered_bounded_lemire_uint32``: uniform on [0, r] for r < 2^32 - 1,
+        as ``integers(r + 1)`` draws it; r = 0 draws nothing."""
+        if not r:
+            return 0
+        excl = r + 1
+        m = self.u32() * excl
+        if m & _MASK32 < excl:
+            threshold = (_MASK32 - r) % excl
+            while m & _MASK32 < threshold:
+                m = self.u32() * excl
+        return m >> 32
+
+    def interval(self, r: int) -> int:
+        """``random_interval``: uniform on [0, r] for r < 2^32 by masked rejection,
+        as ``shuffle`` draws it on a list; r = 0 draws nothing."""
+        if not r:
+            return 0
+        mask = (1 << r.bit_length()) - 1
+        while (value := self.u32() & mask) > r:
+            pass
+        return value
+
+    def finish(self) -> None:
+        """Leave the Generator's state as numpy's calls for the same draws would."""
+        used = self._blocks * self.BLOCK - operator.length_hint(self._words)
+        self._bit_generator.state = self._entry
+        self._bit_generator.advance(used)
+        state = self._bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bit_generator.state = state
 
 
 def _term_streams(seed: int, head: int, tails: list[tuple[int, ...]]):

@@ -125,8 +125,8 @@ class TestVerifyCommand:
 
 class TestImportFootprint:
     """A command loads only the modules it uses: nothing in verify or
-    kappa-table draws random numbers, and only a pool of more than one worker
-    needs the process pool."""
+    kappa-table draws random numbers, only a pool of more than one worker
+    needs the process pool, and no command needs numpy's masked arrays."""
 
     @staticmethod
     def loaded_after(tmp_path, *argvs) -> list[str]:
@@ -136,7 +136,7 @@ class TestImportFootprint:
         code = ("import json, sys\n"
                 "from mczcut import cli\n"
                 f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
-                "watched = ('numpy.random', 'concurrent.futures.process')\n"
+                "watched = ('numpy.random', 'numpy.ma', 'concurrent.futures.process')\n"
                 "print(json.dumps([codes, [m for m in watched if m in sys.modules]]))\n")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, cwd=tmp_path)
@@ -149,11 +149,12 @@ class TestImportFootprint:
         assert self.loaded_after(tmp_path, ["verify", "--sizes", "2"], ["kappa-table"]) == []
 
     def test_serial_experiment_starts_no_pool(self, tmp_path):
+        # two runs, so the summary computes quantiles
         config = {"version": 1, "num_qubits": 3, "k": 1, "m": 2, "epsilon": 0.2,
-                  "repetitions": 1, "circuits": 1, "seed": 4}
+                  "repetitions": 2, "circuits": 1, "seed": 4}
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = ["experiment", "--config", "config.json", "--out", "out", "--workers", "1"]
-        assert "concurrent.futures.process" not in self.loaded_after(tmp_path, argv)
+        assert self.loaded_after(tmp_path, argv) == ["numpy.random"]
 
 
 class TestDecomposeCommand:

@@ -90,8 +90,23 @@ class TestRandomCircuits:
         # most, and at most 5 per split outside the long arm
         seeds = {2: 10, 6: 2}.get(k + m, 50)
         for seed in range(seeds if LONG_RUN else min(seeds, 5)):
-            circuit = gen_random_circuit(k + m, k, m, np.random.default_rng(seed))
-            assert circuit == reference_random_circuit(k + m, k, m, np.random.default_rng(seed))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert gen_random_circuit(k + m, k, m, ours) == reference_random_circuit(k + m, k, m, theirs)
+            # the generator leaves the caller's stream where numpy's own calls leave it
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("k,m", [(k, n - k) for n in (2, 3, 4, 5, 6) for k in range(1, n)])
+    def test_stream_from_a_buffered_half_word(self, k, m):
+        ours, theirs = np.random.default_rng(k * 10 + m), np.random.default_rng(k * 10 + m)
+        ours.integers(3), theirs.integers(3)  # PCG64 now holds half a word
+        assert gen_random_circuit(k + m, k, m, ours) == reference_random_circuit(k + m, k, m, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_refused(self, bit_generator):
+        with pytest.raises(ValueError) as error:
+            gen_random_circuit(3, 1, 2, np.random.Generator(bit_generator(0)))
+        assert len(str(error.value).splitlines()) == 1 and bit_generator.__name__ in str(error.value)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_screen_matches_exact_values(self, n):
@@ -290,6 +305,17 @@ class TestHarness:
         rows = run_experiment(config)
         summary = summarize(rows, config)
         assert summary["uncut"]["std_dev"] < summary["cut"]["std_dev"]
+
+    def test_summary_quantiles_are_numpys(self):
+        # spreads of many scales, and ties
+        rng = np.random.default_rng(3)
+        for trial in range(2000):
+            size = int(rng.integers(2, 120))
+            errors = (rng.integers(-3, 4, size) * 0.1 if trial % 3 == 0
+                      else rng.normal(size=size) * 10.0 ** rng.integers(-9, 2))
+            quantiles = experiments._arm_summary(errors.tolist())["quantiles"]
+            expected = np.quantile(errors, [0.05, 0.25, 0.75, 0.95])
+            assert [quantiles[key].hex() for key in ("5%", "25%", "75%", "95%")] == [float(q).hex() for q in expected]
 
 
 class TestKappaTable:

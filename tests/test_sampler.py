@@ -443,6 +443,111 @@ class TestTermStreams:
                     assert np.array_equal(rng.multinomial(shots, probs), expected.multinomial(shots, probs))
 
 
+def twin_generators(seed, buffered):
+    """Two PCG64 Generators in one state; ``buffered`` leaves a half-word in PCG64's buffer."""
+    twins = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        for rng in twins:
+            rng.integers(3)
+    assert twins[0].bit_generator.state["has_uint32"] == buffered
+    return twins
+
+
+def read(rng, draw):
+    """``draw(words)`` on a word reader over ``rng``, finished afterwards."""
+    words = sampler._PCG64Words(rng)
+    try:
+        return draw(words)
+    finally:
+        words.finish()
+
+
+# 0-5 are the ranges the circuit generator draws; the rest reject up to half their draws
+READER_RANGES = [0, 1, 2, 3, 4, 5, 6, 2**31 + 1, 3 * 2**30, 2**32 - 2]
+
+
+@pytest.mark.parametrize("buffered", [0, 1])
+class TestPCG64Words:
+    """Each reader draw is the numpy call it replaces, value for value, and
+    ``finish`` leaves the state that call leaves, word for word."""
+
+    def test_u32(self, buffered):
+        ours, theirs = twin_generators(11, buffered)
+        assert (read(ours, lambda w: [w.u32() for _ in range(601)])
+                == [int(theirs.integers(2**32, dtype=np.uint32)) for _ in range(601)])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("r", READER_RANGES)
+    def test_bounded_matches_integers(self, r, buffered):
+        ours, theirs = twin_generators(r, buffered)
+        assert read(ours, lambda w: [w.bounded(r) for _ in range(301)]) == [int(theirs.integers(r + 1)) for _ in range(301)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("r", READER_RANGES + [2**32 - 1])
+    def test_interval_matches_masked_draws(self, r, buffered):
+        # RandomState.randint draws by masked rejection on the same bit generator
+        ours, theirs = twin_generators(r, buffered)
+        masked = np.random.RandomState(theirs.bit_generator)
+        assert (read(ours, lambda w: [w.interval(r) for _ in range(301)])
+                == [int(masked.randint(r + 1, dtype=np.int64)) for _ in range(301)])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_double_matches_uniform(self, buffered):
+        ours, theirs = twin_generators(5, buffered)
+        values = read(ours, lambda w: [(w.double(), 2 * math.pi * w.double()) for _ in range(300)])
+        expected = [(theirs.random(), theirs.uniform(0, 2 * math.pi)) for _ in range(300)]
+        assert [(a.hex(), b.hex()) for a, b in values] == [(float(a).hex(), float(b).hex()) for a, b in expected]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
+    def test_pair_matches_choice(self, width, buffered):
+        def pairs(words):
+            drawn = []
+            for _ in range(200):
+                first, second = words.bounded(width - 2), words.bounded(width - 1)
+                if second == first:
+                    second = width - 1
+                drawn.append((first, second) if words.bounded(1) else (second, first))
+            return drawn
+
+        ours, theirs = twin_generators(width, buffered)
+        assert read(ours, pairs) == [tuple(theirs.choice(width, 2, replace=False).tolist()) for _ in range(200)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_fisher_yates_matches_shuffle(self, buffered):
+        def shuffled(words):
+            lists = []
+            for length in range(1, 41):
+                items = list(range(length))
+                for i in range(length - 1, 0, -1):
+                    j = words.interval(i)
+                    items[i], items[j] = items[j], items[i]
+                lists.append(items)
+            return lists
+
+        ours, theirs = twin_generators(17, buffered)
+        expected = []
+        for length in range(1, 41):
+            expected.append(list(range(length)))
+            theirs.shuffle(expected[-1])
+        assert read(ours, shuffled) == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_blocks_across_calls(self, buffered):
+        # several blocks and a mix of draws, read by two readers in turn
+        ours, theirs = twin_generators(23, buffered)
+        for _ in range(2):
+            assert (read(ours, lambda w: [(w.bounded(4), w.double(), w.interval(9)) for _ in range(700)])
+                    == [(int(theirs.integers(5)), theirs.random(), int(np.random.RandomState(theirs.bit_generator).randint(10)))
+                        for _ in range(700)])
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_no_draw_leaves_the_state(self, buffered):
+        ours, theirs = twin_generators(29, buffered)
+        assert read(ours, lambda w: (w.bounded(0), w.interval(0))) == (0, 0)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def reference_side_sum(branches, values, shots, rng):
     """Side sampler normalising every branch per call."""
     probs = np.array([b.prob for b in branches])
