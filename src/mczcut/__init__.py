@@ -10,9 +10,10 @@ theoretically allocated shot budgets.
 from .circuit import (Circuit, Gate, Observable, PartitionedCut, find_cut,
                       parse, serialize)
 from .cutter import (Decomposition, DecompositionTerm, LocalOperation,
-                     channel_multiplier, decompose_ccz, decompose_choi_block,
-                     decompose_mcz, embed, exact_cut_expectation,
-                     final_state, rewrite_projector, verify)
+                     PreparedCut, channel_multiplier, decompose_ccz,
+                     decompose_choi_block, decompose_mcz, embed,
+                     exact_cut_expectation, final_state, prepare,
+                     rewrite_projector, verify)
 from .densesim import (StateVector, Superoperator, expval, project, run,
                        superop_of_local_operation, superop_of_unitary)
 from .sampler import (EstimateRecord, ShotBudget, allocate, hoeffding_shots,
@@ -22,9 +23,9 @@ from .sampler import (EstimateRecord, ShotBudget, allocate, hoeffding_shots,
 __all__ = [
     "Circuit", "Gate", "Observable", "PartitionedCut", "find_cut", "parse",
     "serialize",
-    "Decomposition", "DecompositionTerm", "LocalOperation", "channel_multiplier",
+    "Decomposition", "DecompositionTerm", "LocalOperation", "PreparedCut", "channel_multiplier",
     "decompose_ccz", "decompose_choi_block", "decompose_mcz", "embed", "exact_cut_expectation",
-    "final_state", "rewrite_projector", "verify",
+    "final_state", "prepare", "rewrite_projector", "verify",
     "StateVector", "Superoperator", "expval", "project", "run",
     "superop_of_local_operation", "superop_of_unitary",
     "EstimateRecord", "ShotBudget", "allocate", "hoeffding_shots",

@@ -19,19 +19,24 @@ or whose budget exceeds the shot ceiling ``sampler.MAX_SHOTS``, a
 pre-estimation epsilon whose budget ``sampler.allocate`` cannot split over
 the terms at one shot per subcircuit or whose square overflows, an
 out-of-range order or cut, a seed that is not a non-negative integer, a
-worker count below 1, an output path that cannot be written, a cut whose
-branch tables would exceed ``MAX_TABLE_BYTES``, or a cut whose decomposition
-cannot be certified).
+worker count below 1, an output path that cannot be written, or a cut that
+``cutter.prepare`` refuses: one above the certified order
+``cutter.MAX_CERTIFIED_ORDER``, one whose branch tables would exceed
+``cutter.MAX_TABLE_BYTES``, or one whose decomposition cannot be certified).
 Identical invocations with identical seeds produce byte-identical output
 files.  The MCZCUT_SEED environment variable supplies a default seed when
 --seed is absent.
 
-``sample`` certifies every decomposition it samples from: a cut above the
-certified order ``cutter.MAX_CERTIFIED_ORDER`` is refused, never sampled
-uncertified.  It prints the exact value next to the estimate.  That value
-comes from the MCZ's rank-two form (``cutter.final_state``), which runs each
-side on its own, never the full register.  Either value prints as +0.000000
-when it rounds to zero at six decimals.
+``sample`` and ``experiment`` get their branch tables from
+``cutter.prepare`` alone, so both sample only from a certified
+decomposition, never from one above the certified order.  ``sample`` turns
+a refusal into exit code 2.  ``experiment`` catches none: its decomposition
+is the generator's own, so a failed certificate there is a program fault
+and stays a traceback.  ``sample`` prints the exact value next to the
+estimate.  That value comes from the MCZ's rank-two form
+(``cutter.final_state``), which runs each side on its own, never the full
+register.  Either value prints as +0.000000 when it rounds to zero at six
+decimals.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ from .circuit import Observable, find_cut, parse
 
 SEED_ENV_VAR = "MCZCUT_SEED"
 DEFAULT_VERIFY_ORDERS = range(2, 7)
-# The most branch-distribution bytes (cutter.branch_table_bytes) sample builds.
-MAX_TABLE_BYTES = 2**31
 
 
 class InputError(Exception):
@@ -213,27 +216,14 @@ def cmd_sample(config_path: str, mode: str, epsilon: float, seed: int,
             total = sampler.preestimation_budget(epsilon, decomposition.kappa)
             budget = sampler.ShotBudget(total + total % 2, epsilon, decomposition.kappa, mode="preestimation")
             sampler.check_term_floor(budget.total, decomposition.terms, epsilon)
+        prepared = cutter.prepare(cut, decomposition)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if cut.order > cutter.MAX_CERTIFIED_ORDER:
-        raise InputError(f"cut of order {cut.order} exceeds the certified order {cutter.MAX_CERTIFIED_ORDER}")
-    terms = cutter.embed(decomposition, cut)
-    table_bytes = cutter.branch_table_bytes(terms)
-    if table_bytes > MAX_TABLE_BYTES:
-        raise InputError(f"the branch tables of {config_path} would hold {table_bytes / 2**30:.1f} GiB, "
-                         f"above the {MAX_TABLE_BYTES / 2**30:g} GiB sample builds")
-    result = cutter.verify(decomposition)
-    if not result.passed:
-        raise InputError(f"decomposition ({cut.k},{cut.m}) failed certification: "
-                         f"residual {result.residual:.3e}")
+    # built before the final state, so its parity temporaries never sit beside it
     observable = Observable.z_string(circuit.num_qubits)
-    values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
-    if mode == "shots":
-        record = sampler.sample_circuit_mode(terms, budget, seed, values_a.values, values_b.values,
-                                             decomposition=decomposition)
-    else:
-        record = sampler.preestimation_mode(terms, budget, seed, values_a.values, values_b.values,
-                                            decomposition=decomposition)
+    estimator = sampler.sample_circuit_mode if mode == "shots" else sampler.preestimation_mode
+    record = estimator(prepared.terms, budget, seed, prepared.values_a, prepared.values_b,
+                       decomposition=decomposition, tables=prepared.tables)
     exact = densesim.expval(cutter.final_state(cut), observable)
     if out:  # before the result line, so an unwritable path prints nothing
         _write(Path(out), record.to_json() + "\n")

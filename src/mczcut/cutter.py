@@ -36,6 +36,10 @@ simulation with the same layer inside a Z-mixture.  ``branch_table_bytes``
 counts those distinct branches from the sides and operations alone, and
 ``exact_cut_expectation`` sums the tables' exact means.
 
+``prepare`` is the one path from a cut to what the samplers read, for the
+``sample`` and ``experiment`` commands alike, so the order ceiling, the
+table bound and the certificate are checked in one place.
+
 ``final_state`` gives the cut circuit's exact final state without the
 decomposition, from the MCZ's rank-two form I - 2 P_A (x) P_B and side-sized
 runs only.
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densesim, zhcalc
-from .circuit import ANGLE_TOL, Circuit, Gate, PartitionedCut
+from .circuit import ANGLE_TOL, Circuit, Gate, Observable, PartitionedCut
 
 THETA_SET = (-math.pi / 2, 0.0, math.pi / 2, math.pi)
 COEFF_TOL = 1e-14
@@ -661,6 +665,51 @@ def exact_cut_expectation(terms: list[EmbeddedTerm], values_a: np.ndarray, value
     """Exact weighted reconstruction sum over all embedded term pairs."""
     return sum(term.coefficient * table_a.mean() * table_b.mean()
                for term, (table_a, table_b) in zip(terms, term_tables(terms, values_a, values_b)))
+
+
+# ---------------------------------------------------------------------------
+# The certified path from a cut to its sampling tables
+# ---------------------------------------------------------------------------
+
+# The most branch-distribution bytes (``branch_table_bytes``) ``prepare`` builds.
+MAX_TABLE_BYTES = 2**31
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedCut:
+    """What the samplers read for one cut: its embedded ``terms``, each
+    side's Z-string parities ``values_a`` and ``values_b``, and the
+    ``tables`` ``term_tables`` builds from them."""
+
+    terms: list[EmbeddedTerm]
+    values_a: np.ndarray
+    values_b: np.ndarray
+    tables: TermTables
+
+
+def prepare(cut: PartitionedCut, decomposition: Decomposition) -> PreparedCut:
+    """Place a certified decomposition on a cut and build its branch tables.
+
+    Refuses, each with one ``ValueError`` line, a cut above
+    ``MAX_CERTIFIED_ORDER``, tables above ``MAX_TABLE_BYTES`` (counted
+    before any simulation or certification) and a decomposition that fails
+    ``verify``.  A decomposition already marked verified is not certified
+    again, so one shared by many cuts is certified once.
+    """
+    if cut.order > MAX_CERTIFIED_ORDER:
+        raise ValueError(f"cut of order {cut.order} exceeds the certified order {MAX_CERTIFIED_ORDER}")
+    terms = embed(decomposition, cut)
+    table_bytes = branch_table_bytes(terms)
+    if table_bytes > MAX_TABLE_BYTES:
+        raise ValueError(f"the branch tables of the ({cut.k},{cut.m}) cut would hold "
+                         f"{table_bytes / 2**30:.1f} GiB, above the {MAX_TABLE_BYTES / 2**30:g} GiB limit")
+    if not decomposition.verified:
+        report = verify(decomposition)
+        if not report.passed:
+            raise ValueError(f"decomposition ({cut.k},{cut.m}) failed certification: "
+                             f"residual {report.residual:.3e}")
+    values_a, values_b = (Observable(len(cut.circuit.qubits_in(label))).values for label in "AB")
+    return PreparedCut(terms, values_a, values_b, term_tables(terms, values_a, values_b))
 
 
 # ---------------------------------------------------------------------------

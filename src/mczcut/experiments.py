@@ -19,7 +19,9 @@ expectation against (a) plain sampling of the uncut circuit at N shots and
 (b) the cut-circuit estimate at the same total N, and emits a tidy dataset
 plus quantile summaries; the quantiles are numpy's linear method, computed
 in Python because ``np.quantile`` loads ``numpy.ma``.  Each circuit's branch
-tables are built once, before any repetition; a repetition only samples.
+tables come from ``cutter.prepare``, once, before any repetition; the first
+call certifies the experiment's one decomposition, and a repetition only
+samples.
 Repetitions can run in a worker pool (the tables travel with the tasks); the
 output is ordered by (repetition, circuit) index and is byte-identical for a
 fixed seed regardless of worker count.
@@ -259,29 +261,19 @@ class RunRow:
 
 
 def _prepare_circuits(config: ExperimentConfig):
-    """The experiment's fixed circuit set, its decomposition, exact values and
-    branch tables (built once per circuit, after certification)."""
+    """The experiment's fixed circuit set, its decomposition (certified once,
+    by the first ``cutter.prepare``), each circuit's prepared cut, exact
+    value and outcome distribution."""
     decomposition = cutter.decompose_mcz(config.k, config.m)
-    report = cutter.verify(decomposition)
-    if not report.passed:
-        raise RuntimeError(f"decomposition failed verification: residual {report.residual:.3e}")
     observable = Observable.z_string(config.num_qubits)
     prepared = []
     for c in range(config.circuits):
         circuit = gen_random_circuit(config.num_qubits, config.k, config.m,
                                      sampler._rng_for(config.seed, 100, c))
+        cut = cutter.prepare(find_cut(circuit), decomposition)
         state = densesim.run(circuit)
-        cut = find_cut(circuit)
-        terms = cutter.embed(decomposition, cut)
-        values_a, values_b = observable.factor(circuit.qubits_in("A"), circuit.qubits_in("B"))
-        prepared.append({
-            "terms": terms,
-            "tables": cutter.term_tables(terms, values_a.values, values_b.values),
-            "values_a": values_a.values,
-            "values_b": values_b.values,
-            "exact": densesim.expval(state, observable),
-            "distribution": state.probabilities(),
-        })
+        prepared.append({"cut": cut, "exact": densesim.expval(state, observable),
+                         "distribution": state.probabilities()})
     return decomposition, observable, prepared
 
 
@@ -301,14 +293,10 @@ def _run_one(args):
     uncut = sampler.sample_uncut(prep["distribution"], observable.values, shots,
                                  sampler._rng_for(run_seed, 0))
     budget = sampler.ShotBudget(shots, config.epsilon, decomposition.kappa, mode=config.mode)
-    if config.mode == "preestimation":
-        record = sampler.preestimation_mode(prep["terms"], budget, run_seed,
-                                            prep["values_a"], prep["values_b"],
-                                            decomposition=decomposition, tables=prep["tables"])
-    else:
-        record = sampler.sample_circuit_mode(prep["terms"], budget, run_seed,
-                                             prep["values_a"], prep["values_b"],
-                                             decomposition=decomposition, tables=prep["tables"])
+    estimator = sampler.preestimation_mode if config.mode == "preestimation" else sampler.sample_circuit_mode
+    cut = prep["cut"]
+    record = estimator(cut.terms, budget, run_seed, cut.values_a, cut.values_b,
+                       decomposition=decomposition, tables=cut.tables)
     return RunRow(rep, c, run_seed, prep["exact"], uncut, record.estimate,
                   shots, decomposition.kappa, config.mode)
 

@@ -15,7 +15,8 @@ and outcome distributions, which is statistically identical to a per-shot
 loop, deterministic for a fixed seed, and fast enough for the 10^8-shot
 budgets.  The branch tables (``cutter.term_tables``, imported here) depend
 only on the cut's sides and the terms' operations; a caller that runs many
-estimates over the same terms builds them once and passes them in.
+estimates over the same terms builds them once and passes them in, as
+``sample`` and ``experiment`` pass those of ``cutter.prepare``.
 
 Randomness uses PCG64 streams keyed by stable seed-sequence spawn keys, so
 results do not depend on execution order or worker count.  The stream of

@@ -1,9 +1,11 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mczcut import cutter
+from mczcut.circuit import Circuit, Gate, h
 
 SEED = 20240517
 
@@ -25,6 +27,27 @@ def corrupted_decompositions(monkeypatch):
         return d
 
     monkeypatch.setattr(cutter, "decompose_mcz", corrupted)
+
+
+@pytest.fixture
+def prepare_calls(monkeypatch) -> Counter:
+    """Count the calls of ``cutter.prepare`` and ``cutter.verify`` from now on."""
+    calls = Counter()
+    for name in ("prepare", "verify"):
+        def counted(*args, fn=getattr(cutter, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cutter, name, counted)
+    return calls
+
+
+def oversized_cut_circuit() -> Circuit:
+    """20 qubits with a (9,1) cut: the A side has 19 qubits, and its 1027
+    distinct branches would hold 4 GiB."""
+    n = 20
+    gates = [h(q) for q in range(n)] + [Gate("RX", (q,), 0.3 + 0.1 * q) for q in range(n)]
+    gates += [Gate("MCZ", tuple(range(n - 10, n)))] + [Gate("RY", (q,), 0.7 + 0.05 * q) for q in range(n)]
+    return Circuit(n, tuple(gates), ("A",) * (n - 1) + ("B",))
 
 
 # Opt-in long arms of seeded tests: set MCZCUT_LONG_TESTS=1.

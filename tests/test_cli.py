@@ -12,6 +12,7 @@ import pytest
 
 from mczcut import cli, cutter, densesim, zhcalc
 from mczcut.circuit import Circuit, Gate, Observable, cz, find_cut, h, parse, serialize
+from conftest import oversized_cut_circuit
 
 
 def bell_document(tmp_path):
@@ -309,13 +310,8 @@ class TestSampleCommand:
         assert cli._signed6(value) == text
 
     def test_oversized_branch_tables_exit_2_before_any_simulation(self, tmp_path, capsys, monkeypatch):
-        # 20 qubits with a (9,1) cut: the A side has 19 qubits, and its 1027
-        # distinct branches would hold 4 GiB
-        n = 20
-        gates = [h(q) for q in range(n)] + [Gate("RX", (q,), 0.3 + 0.1 * q) for q in range(n)]
-        gates += [Gate("MCZ", tuple(range(n - 10, n)))] + [Gate("RY", (q,), 0.7 + 0.05 * q) for q in range(n)]
         doc = tmp_path / "wide.json"
-        doc.write_text(serialize(Circuit(n, tuple(gates), ("A",) * (n - 1) + ("B",))))
+        doc.write_text(serialize(oversized_cut_circuit()))
 
         def refused(*args, **kwargs):
             raise AssertionError("simulated before the table check")
@@ -333,9 +329,13 @@ class TestSampleCommand:
         assert elapsed < 1.0
         assert peak < 2**24  # 16 MiB, two 19-qubit states, against the 4 GiB of tables
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"mczcut: error: the branch tables of {doc} would hold "
-                                             "4.0 GiB, above the 2 GiB sample builds"]
+        assert captured.err.splitlines() == ["mczcut: error: the branch tables of the (9,1) cut would hold "
+                                             "4.0 GiB, above the 2 GiB limit"]
         assert captured.out == ""
+
+    def test_one_prepare_and_one_certificate(self, tmp_path, prepare_calls):
+        assert cli.main(["sample", "--config", str(bell_document(tmp_path)), "--seed", "1"]) == 0
+        assert prepare_calls == {"prepare": 1, "verify": 1}
 
     def test_failed_certificate_refused(self, tmp_path, capsys, corrupted_decompositions):
         assert cli.main(["sample", "--config", str(bell_document(tmp_path)), "--seed", "1"]) == 2

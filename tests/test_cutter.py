@@ -18,7 +18,7 @@ from mczcut.cutter import (CutSide, DecompositionTerm, EmbeddedTerm,
                            exact_cut_expectation, final_state,
                            rewrite_projector, term_tables, verify)
 from mczcut.zhcalc import choi_block_matrix
-from conftest import LONG_TESTS
+from conftest import LONG_TESTS, oversized_cut_circuit
 from test_circuit import circuits
 
 
@@ -381,6 +381,58 @@ class TestEmbed:
         side_b = terms[0].side_b
         assert len(side_b.pre_gates) == 1 and side_b.pre_gates[0].kind == "H"
         assert len(side_b.post_gates) == 1 and side_b.post_gates[0].kind == "H"
+
+
+class TestPrepare:
+    def test_oversized_tables_refused_before_any_simulation_or_certificate(self, monkeypatch):
+        cut = find_cut(oversized_cut_circuit())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("simulated or certified before the table check")
+
+        monkeypatch.setattr(cutter, "verify", refused)
+        for name in ("run", "project", "apply_diagonal"):
+            monkeypatch.setattr(densesim, name, refused)
+        with pytest.raises(ValueError) as info:
+            cutter.prepare(cut, decompose_mcz(cut.k, cut.m))
+        assert str(info.value).splitlines() == [
+            "the branch tables of the (9,1) cut would hold 4.0 GiB, above the 2 GiB limit"]
+
+    def test_order_above_ceiling_refused_before_embedding(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("embedded above the certified order")
+
+        monkeypatch.setattr(cutter, "embed", refused)
+        cut = find_cut(interleaved_cut_circuit(5, 6, seed=1))
+        with pytest.raises(ValueError, match="order 11 exceeds the certified order 10"):
+            cutter.prepare(cut, decompose_mcz(5, 6))
+
+    def test_failed_certificate_refused(self, corrupted_decompositions):
+        cut = find_cut(interleaved_cut_circuit(1, 2, seed=2))
+        with pytest.raises(ValueError, match=r"^decomposition \(1,2\) failed certification: residual "):
+            cutter.prepare(cut, cutter.decompose_mcz(1, 2))
+
+    def test_shared_decomposition_certified_once(self, prepare_calls):
+        d = decompose_mcz(2, 3)
+        for seed in (3, 4):
+            cutter.prepare(find_cut(interleaved_cut_circuit(2, 3, seed)), d)
+        assert d.verified and prepare_calls == {"prepare": 2, "verify": 1}
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 3), (3, 2)])
+    def test_tables_reconstruct_the_exact_value(self, k, m):
+        # each side holds one qubit outside the MCZ: qubit 0 on A, the last on B
+        n = k + m + 2
+        gates = [Gate("RY", (q,), 0.4 + 0.2 * q) for q in range(n)] + [cnot(0, 1), cnot(n - 1, n - 2)]
+        gates += [mcz(*range(1, n - 1))] + [Gate("RX", (q,), 0.3 + 0.1 * q) for q in range(n)]
+        cut = find_cut(Circuit(n, tuple(gates), ("A",) * (k + 1) + ("B",) * (m + 1)))
+        prepared = cutter.prepare(cut, decompose_mcz(k, m))
+        assert [(t.coefficient, t.op_a, t.op_b) for t in prepared.terms] == [
+            (t.coefficient, t.op_a, t.op_b) for t in decompose_mcz(k, m).terms]
+        # each side's values are the Z-string parities of the whole side
+        assert [len(prepared.values_a), len(prepared.values_b)] == [2 ** (k + 1), 2 ** (m + 1)]
+        reconstructed = sum(t.coefficient * a.mean() * b.mean() for t, (a, b) in zip(prepared.terms, prepared.tables))
+        exact = densesim.expval(final_state(cut), Observable.z_string(n))
+        assert abs(reconstructed - exact) < 1e-12
 
 
 class TestExportDocument:

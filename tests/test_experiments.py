@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from mczcut import densesim, experiments, sampler
+from mczcut import cutter, densesim, experiments, sampler
 from mczcut.circuit import Circuit, Gate, Observable, find_cut
 from mczcut.experiments import (ExperimentConfig, gen_random_circuit,
                                 kappa_table, run_experiment, rows_to_csv,
@@ -288,10 +288,17 @@ class TestHarness:
         assert len(runs) == len(generated) + len(side_runs.pre) + len(side_runs.post)
 
     def test_failed_certificate_refused_before_any_table(self, side_runs, corrupted_decompositions):
-        config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2, repetitions=1, circuits=1)
-        with pytest.raises(RuntimeError, match="failed verification"):
+        config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.2, repetitions=1, circuits=2)
+        with pytest.raises(ValueError, match="failed certification"):
             run_experiment(config)
-        assert side_runs.plans == [] and side_runs.pre == side_runs.post == []
+        # only circuit 0 was embedded: one term list on one pair of sides
+        assert len(side_runs.plans) == 2 * len(cutter.decompose_mcz(1, 2).terms)
+        assert len({side for side, _ in side_runs.plans}) == 2
+        assert side_runs.pre == side_runs.post == []
+
+    def test_one_certificate_and_one_prepare_per_circuit(self, prepare_calls):
+        run_experiment(ExperimentConfig(num_qubits=5, k=2, m=3, epsilon=0.2, repetitions=2, circuits=3, seed=6))
+        assert prepare_calls == {"prepare": 3, "verify": 1}
 
     def test_circuit_sampling_mode(self):
         config = ExperimentConfig(num_qubits=3, k=1, m=2, epsilon=0.25, delta=0.1,
